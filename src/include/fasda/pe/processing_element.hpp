@@ -176,6 +176,7 @@ class ProcessingElement : public sim::Component {
   std::vector<std::uint32_t> filter_min_stream_;
 
   std::vector<RefSlot> retiring_;
+  std::size_t retirable_ = 0;  ///< retiring_ entries with no pairs pending
   std::deque<PairCandidate> pair_buffer_;
   std::deque<PipelineEntry> pipeline_;
   std::size_t stream_index_ = 0;

@@ -8,12 +8,14 @@
 // that the station cannot accept (input FIFO full) stalls the token in
 // place — backpressure propagates upstream exactly like a ready/valid
 // chain. Tokens then advance simultaneously into free slots (bubbles
-// propagate backwards; a completely full ring of moving tokens rotates).
+// propagate backwards; a completely full ring of moving tokens rotates),
+// settled in one backward walk from an empty slot or a stalled token.
 // Freed slots accept injections from their station's local FIFO.
 //
 // The whole ring ticks as one Component, which keeps movement atomic and
 // independent of global component ordering.
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -38,16 +40,29 @@ class Station {
   virtual bool try_deliver(T& token) = 0;
 
   /// Local injection source, or nullptr if this station never injects.
+  /// Must return the same pointer for the station's whole lifetime: the
+  /// Ring reads it once at construction and caches it.
   virtual sim::Fifo<T>* inject_source() = 0;
 };
 
 template <class T>
 class Ring : public sim::Component {
  public:
+  /// One hop slot's occupant. `stalled` is per-tick scratch: phase 1 sets it
+  /// when a delivery was refused, and the movement phase keeps such a token
+  /// in place.
+  struct Slot {
+    T token;
+    bool delivered_here = false;
+    bool stalled = false;
+  };
+
   Ring(std::string name, std::vector<Station<T>*> stations)
       : Component(std::move(name)),
         stations_(std::move(stations)),
-        slots_(stations_.size()) {}
+        slots_(stations_.size()) {
+    for (Station<T>* st : stations_) sources_.push_back(st->inject_source());
+  }
 
   std::size_t num_stations() const { return stations_.size(); }
 
@@ -58,6 +73,9 @@ class Ring : public sim::Component {
     return n;
   }
 
+  /// Hop slot `i` as committed by the last tick (empty when no token).
+  const std::optional<Slot>& slot(std::size_t i) const { return slots_[i]; }
+
   const sim::UtilCounter& util() const { return util_; }
 
   /// A ring only acts on tokens in flight or waiting to inject; everything
@@ -66,8 +84,7 @@ class Ring : public sim::Component {
     for (const auto& s : slots_) {
       if (s) return now;
     }
-    for (Station<T>* st : stations_) {
-      sim::Fifo<T>* src = st->inject_source();
+    for (const sim::Fifo<T>* src : sources_) {
       if (src != nullptr && !src->empty()) return now;
     }
     return sim::kNeverCycle;
@@ -84,93 +101,85 @@ class Ring : public sim::Component {
     const std::size_t n = slots_.size();
     if (n == 0) return;
 
-    wants_move_.assign(n, false);
-    std::size_t occupied = 0;
-
     // Phase 1: station interaction. A token that delivered a copy but could
     // not advance last cycle is marked delivered_here so the station never
     // receives a duplicate while it waits for the slot ahead to free up.
+    // Also finds an anchor for phase 2: an empty slot or a stalled token.
+    std::size_t occupied = 0;
+    std::size_t anchor = n;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!slots_[i]) continue;
-      ++occupied;
-      Slot& slot = *slots_[i];
-      if (slot.delivered_here) {
-        wants_move_[i] = true;
+      std::optional<Slot>& slot = slots_[i];
+      if (!slot) {
+        anchor = i;
         continue;
       }
-      switch (stations_[i]->classify(slot.token)) {
+      ++occupied;
+      slot->stalled = false;
+      if (slot->delivered_here) continue;
+      switch (stations_[i]->classify(slot->token)) {
         case Station<T>::Action::kPass:
-          wants_move_[i] = true;
           break;
         case Station<T>::Action::kDeliver:
-          if (stations_[i]->try_deliver(slot.token)) {
-            slot.delivered_here = true;
-            wants_move_[i] = true;
+          if (stations_[i]->try_deliver(slot->token)) {
+            slot->delivered_here = true;
+          } else {
+            slot->stalled = true;
+            anchor = i;
           }
           break;
         case Station<T>::Action::kDeliverAndDrop:
-          if (stations_[i]->try_deliver(slot.token)) {
-            slots_[i].reset();
+          if (stations_[i]->try_deliver(slot->token)) {
+            slot.reset();
+          } else {
+            slot->stalled = true;
           }
+          anchor = i;
           break;
         case Station<T>::Action::kDrop:
-          slots_[i].reset();
+          slot.reset();
+          anchor = i;
           break;
       }
     }
 
     util_.record(occupied, n, occupied > 0);
 
-    // Phase 2: movement. can_move relaxation handles the circular
-    // dependency; a full ring of movers rotates, a stalled token blocks
-    // everything behind it.
-    can_move_ = wants_move_;
-    for (std::size_t pass = 0; pass < n; ++pass) {
-      bool changed = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!can_move_[i]) continue;
-        const std::size_t next = (i + 1) % n;
-        const bool next_free = !slots_[next] || can_move_[next];
-        if (!next_free) {
-          can_move_[i] = false;
-          changed = true;
+    // Phase 2: movement. Every token moves one hop unless the slot ahead
+    // stays occupied, so a stalled token blocks everything behind it. With
+    // no anchor every slot holds a mover and the ring rotates. Otherwise one
+    // backward walk from the anchor settles each slot ahead before the token
+    // behind it looks: the anchor itself never moves.
+    if (anchor == n) {
+      std::rotate(slots_.begin(), slots_.end() - 1, slots_.end());
+      for (auto& s : slots_) s->delivered_here = false;
+    } else {
+      std::size_t ahead = anchor;
+      for (std::size_t k = 1; k < n; ++k) {
+        const std::size_t i = ahead == 0 ? n - 1 : ahead - 1;
+        std::optional<Slot>& slot = slots_[i];
+        if (slot && !slot->stalled && !slots_[ahead]) {
+          slot->delivered_here = false;  // arriving at a new station
+          slots_[ahead] = std::move(slot);
+          slot.reset();
         }
-      }
-      if (!changed) break;
-    }
-    scratch_slots_.assign(n, std::nullopt);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!slots_[i]) continue;
-      if (can_move_[i]) {
-        slots_[i]->delivered_here = false;  // arriving at a new station
-        scratch_slots_[(i + 1) % n] = std::move(slots_[i]);
-      } else {
-        scratch_slots_[i] = std::move(slots_[i]);
+        ahead = i;
       }
     }
-    slots_.swap(scratch_slots_);
 
     // Phase 3: injection into empty slots.
     for (std::size_t i = 0; i < n; ++i) {
       if (slots_[i]) continue;
-      sim::Fifo<T>* src = stations_[i]->inject_source();
-      if (src != nullptr && !src->empty()) slots_[i] = Slot{src->pop(), false};
+      sim::Fifo<T>* src = sources_[i];
+      if (src != nullptr && !src->empty()) slots_[i] = Slot{src->pop()};
     }
   }
 
  private:
-  struct Slot {
-    T token;
-    bool delivered_here = false;
-  };
-
   std::vector<Station<T>*> stations_;
+  /// stations_[i]->inject_source(), cached: the pointer is fixed for the
+  /// station's lifetime (see Station::inject_source).
+  std::vector<sim::Fifo<T>*> sources_;
   std::vector<std::optional<Slot>> slots_;
-  // Per-tick scratch kept as members: the movement phase used to allocate
-  // three vectors every cycle, which dominated idle-ring tick cost.
-  std::vector<bool> wants_move_;
-  std::vector<bool> can_move_;
-  std::vector<std::optional<Slot>> scratch_slots_;
   sim::UtilCounter util_;
 };
 

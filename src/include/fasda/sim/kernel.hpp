@@ -12,9 +12,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,6 +36,15 @@ class Clocked {
  public:
   virtual ~Clocked() = default;
   virtual void commit() = 0;
+
+  /// Staging reports. An element that sees every write it stages (a Fifo's
+  /// push) may accept `list`, a per-shard list it then appends itself to on
+  /// its first staged write after each commit; the scheduler commits it from
+  /// that list, only in cycles that staged something. Elements that return
+  /// false are committed every executed cycle.
+  virtual bool report_staging_to(std::vector<Clocked*>* /*list*/) {
+    return false;
+  }
 };
 
 /// Anything that does work each cycle.
@@ -94,49 +103,76 @@ class Component {
 /// Two-phase FIFO: push() stages (visible next cycle); pop()/front() operate
 /// on the committed view. Intended for a single consumer per FIFO. Callers
 /// must check empty() first; pop()/front() on an empty committed queue throw.
+///
+/// Storage is one power-of-two circular buffer holding the committed items
+/// followed by the staged ones, so commit() only moves the boundary. The
+/// buffer grows on demand (doubling) and is never sized to `capacity` up
+/// front: a FIFO that is never pushed allocates nothing.
 template <class T>
 class Fifo : public Clocked {
  public:
   explicit Fifo(std::size_t capacity) : capacity_(capacity) {}
 
   /// Space check against committed + staged occupancy.
-  bool can_push() const { return items_.size() + staged_.size() < capacity_; }
+  bool can_push() const { return size_ + staged_ < capacity_; }
 
   /// Stages an item; returns false (and drops nothing) when full.
   bool push(T value) {
     if (!can_push()) return false;
-    staged_.push_back(std::move(value));
+    if (staged_ == 0 && staged_list_ != nullptr) staged_list_->push_back(this);
+    const std::size_t used = size_ + staged_;
+    if (used == buf_.size()) grow();
+    buf_[(head_ + used) & (buf_.size() - 1)] = std::move(value);
+    ++staged_;
     return true;
   }
 
-  bool empty() const { return items_.empty(); }
-  std::size_t size() const { return items_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
 
   /// Committed + staged: used by drain/quiescence checks, not by datapaths.
-  std::size_t total_occupancy() const { return items_.size() + staged_.size(); }
+  std::size_t total_occupancy() const { return size_ + staged_; }
 
   const T& front() const {
-    if (items_.empty()) throw std::logic_error("Fifo::front on empty committed queue");
-    return items_.front();
+    if (size_ == 0) throw std::logic_error("Fifo::front on empty committed queue");
+    return buf_[head_];
   }
 
   T pop() {
-    if (items_.empty()) throw std::logic_error("Fifo::pop on empty committed queue");
-    T v = std::move(items_.front());
-    items_.pop_front();
+    if (size_ == 0) throw std::logic_error("Fifo::pop on empty committed queue");
+    T v = std::move(buf_[head_]);
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
     return v;
   }
 
   void commit() override {
-    for (auto& v : staged_) items_.push_back(std::move(v));
-    staged_.clear();
+    size_ += staged_;
+    staged_ = 0;
+  }
+
+  bool report_staging_to(std::vector<Clocked*>* list) override {
+    staged_list_ = list;
+    return true;
   }
 
  private:
-  std::deque<T> items_;
-  std::vector<T> staged_;
+  /// Called only when full: unwraps the occupied run to start at index 0,
+  /// then doubles the buffer.
+  void grow() {
+    std::rotate(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_),
+                buf_.end());
+    buf_.resize(buf_.empty() ? 4 : 2 * buf_.size());
+    head_ = 0;
+  }
+
+  std::vector<T> buf_;     ///< empty or a power-of-two number of slots
+  std::size_t head_ = 0;   ///< oldest committed item
+  std::size_t size_ = 0;   ///< committed items
+  std::size_t staged_ = 0; ///< pushes since the last commit, after the committed run
   std::size_t capacity_;
+  std::vector<Clocked*>* staged_list_ = nullptr;  ///< see report_staging_to
 };
 
 /// Two-phase single-entry register. Writes land only into a slot that was
@@ -310,7 +346,8 @@ class Scheduler {
 
   virtual void run_cycle() {
     for (Component* c : components_) c->tick(cycle_);
-    for (Clocked* c : clocked_) c->commit();
+    for (ShardGroup& g : groups_) commit_group(g);
+    for (Clocked* c : global_clocked_) c->commit();
     ++cycle_;
   }
 
@@ -522,9 +559,7 @@ class Scheduler {
     for (std::size_t i = lo; i < hi; ++i) {
       for (Component* c : groups_[i].components) c->tick(now);
     }
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (Clocked* c : groups_[i].clocked) c->commit();
-    }
+    for (std::size_t i = lo; i < hi; ++i) commit_group(groups_[i]);
     for (Clocked* c : global_clocked_) c->commit();
     ++cycle_;
     ++stats_.executed_cycles;
@@ -556,7 +591,12 @@ class Scheduler {
   struct ShardGroup {
     std::vector<Component*> components;  // eager_idle() members first
     std::size_t eager = 0;               // length of the eager prefix
-    std::vector<Clocked*> clocked;
+    std::vector<Clocked*> clocked;       // committed every executed cycle
+    // Elements that staged a write since the group last committed (see
+    // Clocked::report_staging_to). Heap-held so its address survives
+    // groups_ reallocation.
+    std::unique_ptr<std::vector<Clocked*>> staged =
+        std::make_unique<std::vector<Clocked*>>();
     Cycle wake = 0;                      // cached group wake (<= now: awake)
     Cycle skip_from = kNeverCycle;       // deferred idle window start
     std::size_t idle = 0;                // sleepers at the last sweep (stats)
@@ -586,12 +626,19 @@ class Scheduler {
     }
   }
   virtual void add_clocked_impl(Clocked* c, ShardId shard) {
-    clocked_.push_back(c);
     if (shard == kGlobalShard) {
       global_clocked_.push_back(c);
-    } else {
-      group_at(shard).clocked.push_back(c);
+      return;
     }
+    ShardGroup& g = group_at(shard);
+    if (!c->report_staging_to(g.staged.get())) g.clocked.push_back(c);
+  }
+
+  /// Commits one group: its every-cycle elements, then those that staged.
+  static void commit_group(ShardGroup& g) {
+    for (Clocked* c : g.clocked) c->commit();
+    for (Clocked* c : *g.staged) c->commit();
+    g.staged->clear();
   }
 
   ShardGroup& group_at(ShardId shard) {
@@ -645,7 +692,7 @@ class Scheduler {
     for (std::size_t gi = lo; gi < hi; ++gi) {
       ShardGroup& g = groups_[gi];
       if (g.wake > now) continue;
-      for (Clocked* c : g.clocked) c->commit();
+      commit_group(g);
     }
     for (Clocked* c : global_clocked_) c->commit();
     ++cycle_;
@@ -769,10 +816,9 @@ class Scheduler {
     }
   }
 
-  // Flat registration order — the naive and validate paths drive these, and
+  // Flat registration order — the naive and validate paths tick these, and
   // sweep_wakes audits over them.
   std::vector<Component*> components_;
-  std::vector<Clocked*> clocked_;
   // Sharded view — the elided paths (serial and parallel) drive these.
   std::vector<ShardGroup> groups_;  // indexed by ShardId
   std::vector<Component*> global_components_;

@@ -47,12 +47,11 @@ void ProcessingElement::tick(sim::Cycle now) {
 }
 
 sim::Cycle ProcessingElement::next_wake(sim::Cycle now) const {
-  if (pass_active_ || !pair_buffer_.empty() || !input_.empty()) return now;
-  for (const RefSlot slot : retiring_) {
-    // Retiring entries always have pass_done set; pending == 0 means the
-    // arbiter acts (or keeps stalling on a full output, which still
-    // re-evaluates every cycle).
-    if (pool_[slot].pending == 0) return now;
+  // A retirable reference means the arbiter acts (or keeps stalling on a
+  // full output, which still re-evaluates every cycle).
+  if (pass_active_ || !pair_buffer_.empty() || !input_.empty() ||
+      retirable_ > 0) {
+    return now;
   }
   if (!pipeline_.empty()) return std::max(pipeline_.front().completes_at, now);
   return sim::kNeverCycle;
@@ -76,7 +75,7 @@ void ProcessingElement::drain_pipeline(sim::Cycle now) {
     sink_->accumulate(e.home_slot, e.force_on_home, fc_index_);
     RefState& r = pool_[e.ref];
     r.acc -= e.force_on_home;
-    r.pending--;
+    if (--r.pending == 0 && r.pass_done) ++retirable_;
   }
 }
 
@@ -133,6 +132,7 @@ void ProcessingElement::stream_and_filter() {
     // Pass complete: all loaded references start retiring.
     for (const RefSlot slot : filters_) {
       pool_[slot].pass_done = true;
+      if (pool_[slot].pending == 0) ++retirable_;
       retiring_.push_back(slot);
     }
     filters_.clear();
@@ -145,6 +145,7 @@ void ProcessingElement::stream_and_filter() {
 
 void ProcessingElement::retire_references() {
   // At most one retirement per cycle (the FRN-side arbiter).
+  if (retirable_ == 0) return;
   for (auto it = retiring_.begin(); it != retiring_.end(); ++it) {
     RefState& r = pool_[*it];
     if (!r.pass_done || r.pending != 0) continue;
@@ -159,6 +160,7 @@ void ProcessingElement::retire_references() {
       ++zero_force_refs_;
     }
     ++refs_processed_;
+    --retirable_;
     release_ref(*it);
     retiring_.erase(it);
     return;

@@ -17,9 +17,7 @@ void ParallelScheduler::run_cycle() {
         }
       },
       [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          for (Clocked* c : groups_[s].clocked) c->commit();
-        }
+        for (std::size_t s = begin; s < end; ++s) commit_group(groups_[s]);
       });
   // Global clocked elements commit on the caller: the join above makes
   // every shard's staged writes visible here, and the serial sweep applies
@@ -64,7 +62,7 @@ void ParallelScheduler::run_cycle_elided() {
         for (std::size_t s = begin; s < end; ++s) {
           ShardGroup& g = groups_[s];
           if (g.wake > now) continue;  // nothing staged while asleep
-          for (Clocked* c : g.clocked) c->commit();
+          commit_group(g);
         }
       });
   for (Clocked* c : global_clocked_) c->commit();

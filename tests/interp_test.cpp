@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "fasda/interp/interp_table.hpp"
 #include "fasda/util/rng.hpp"
@@ -57,17 +58,20 @@ TEST(InterpTable, ExactAtBinEndpoints) {
 
 // Property sweep over interpolation depth: error shrinks ~quadratically with
 // bin count; the default (14, 256) is comfortably below float32 resolution
-// demands of the force pipeline.
+// demands of the force pipeline. `bins` is 64-bit so the struct has no
+// padding: gtest names each case by a hex dump of the parameter, and padding
+// bytes are indeterminate, which made the test names change between builds.
 struct DepthCase {
-  int bins;
+  std::int64_t bins;
   double max_rel_error;
 };
+static_assert(sizeof(DepthCase) == sizeof(std::int64_t) + sizeof(double));
 
 class InterpDepth : public ::testing::TestWithParam<DepthCase> {};
 
 TEST_P(InterpDepth, R14ErrorBelowBound) {
   const auto [bins, bound] = GetParam();
-  const InterpConfig cfg{.num_sections = 14, .num_bins = bins};
+  const InterpConfig cfg{.num_sections = 14, .num_bins = static_cast<int>(bins)};
   const auto table = InterpTable::build_r_pow(14, cfg);
   const double err = table.max_relative_error(
       [](double x) { return std::pow(x, -7.0); }, 8);
