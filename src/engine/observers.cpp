@@ -23,6 +23,7 @@ RunResult run(Engine& engine, int steps, int sample_every,
     engine.step(block);
     done += block;
     e = engine.energies();
+    if (observers.empty()) continue;
     const md::SystemState snapshot = engine.state();
     for (StepObserver* obs : observers) obs->on_sample(done, snapshot, e);
   }

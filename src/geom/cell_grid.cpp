@@ -40,12 +40,6 @@ double wrap_coordinate(double v, double extent) {
   return v < 0 ? v + extent : v;
 }
 
-int min_image_component(int d, int dim) {
-  d = wrap_component(d, dim);
-  // Map into (-dim/2, dim/2]; ties (exactly dim/2 for even dim) go positive.
-  return d > dim / 2 ? d - dim : d;
-}
-
 }  // namespace
 
 std::span<const IVec3> half_shell_offsets() {
@@ -86,21 +80,6 @@ IVec3 CellGrid::cell_of(const Vec3d& p) const {
   if (c.y >= dims_.y) c.y = dims_.y - 1;
   if (c.z >= dims_.z) c.z = dims_.z - 1;
   return c;
-}
-
-IVec3 CellGrid::cell_displacement(const IVec3& from, const IVec3& to) const {
-  return {min_image_component(to.x - from.x, dims_.x),
-          min_image_component(to.y - from.y, dims_.y),
-          min_image_component(to.z - from.z, dims_.z)};
-}
-
-Vec3d CellGrid::min_image(const Vec3d& from, const Vec3d& to) const {
-  const Vec3d b = box();
-  Vec3d d = to - from;
-  d.x -= b.x * std::round(d.x / b.x);
-  d.y -= b.y * std::round(d.y / b.y);
-  d.z -= b.z * std::round(d.z / b.z);
-  return d;
 }
 
 bool CellGrid::is_forward_neighbor(const IVec3& from, const IVec3& to) const {

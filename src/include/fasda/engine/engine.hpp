@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,10 +97,12 @@ class Engine {
   /// Potential energy of the current configuration in internal units,
   /// measured with the engine's own cutoff/terms.
   virtual double potential_energy() = 0;
-  double total_energy() { return potential_energy() + kinetic_energy(); }
+  double total_energy() { return energies().total; }
   double kinetic_energy() const;
 
   /// Potential + kinetic + temperature of the current configuration.
+  /// Evaluated once per configuration: the value is kept until the next
+  /// step() (step() is the only thing that changes an engine's state).
   Energies energies();
 
   const StepMetrics& metrics() const { return metrics_; }
@@ -116,6 +119,7 @@ class Engine {
   std::string name_;
   md::ForceField ff_;
   StepMetrics metrics_;
+  std::optional<Energies> energies_;  ///< of the current configuration
 };
 
 }  // namespace fasda::engine

@@ -10,6 +10,7 @@
 // matches the ring rotation direction Eq. 7 optimizes for.
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -24,6 +25,17 @@ std::span<const IVec3> half_shell_offsets();
 
 /// All 26 neighbour offsets (full shell), forward ones first.
 std::span<const IVec3> full_shell_offsets();
+
+/// std::round(q), exactly, without the libm call for |q| < 1.5 — the only
+/// range min_image() sees for particles within one box of each other.
+/// Keeps the sign of zero; NaN and larger magnitudes fall back to
+/// std::round.
+inline double round_half_away(double q) {
+  const double a = std::fabs(q);
+  if (a < 0.5) return std::copysign(0.0, q);
+  if (a < 1.5) return std::copysign(1.0, q);
+  return std::round(q);
+}
 
 /// True iff d (each component in {-1,0,1}, not all zero) is a forward offset.
 constexpr bool is_forward_offset(const IVec3& d) {
@@ -67,10 +79,21 @@ class CellGrid {
   /// Minimum-image displacement between cell coordinates: each component of
   /// (to - from) mapped into [-dims/2, dims/2]. For the neighbour checks used
   /// by the rings the result is meaningful when it lands in {-1,0,1}^3.
-  IVec3 cell_displacement(const IVec3& from, const IVec3& to) const;
+  IVec3 cell_displacement(const IVec3& from, const IVec3& to) const {
+    return {min_image_component(to.x - from.x, dims_.x),
+            min_image_component(to.y - from.y, dims_.y),
+            min_image_component(to.z - from.z, dims_.z)};
+  }
 
   /// Minimum-image displacement vector to - from in the periodic box.
-  Vec3d min_image(const Vec3d& from, const Vec3d& to) const;
+  Vec3d min_image(const Vec3d& from, const Vec3d& to) const {
+    const Vec3d b = box();
+    Vec3d d = to - from;
+    d.x -= b.x * round_half_away(d.x / b.x);
+    d.y -= b.y * round_half_away(d.y / b.y);
+    d.z -= b.z * round_half_away(d.z / b.z);
+    return d;
+  }
 
   /// True iff `to` is one of `from`'s 13 forward half-shell neighbours
   /// (periodic). A cell is never its own neighbour (dims >= 3 guarantees the
@@ -78,6 +101,15 @@ class CellGrid {
   bool is_forward_neighbor(const IVec3& from, const IVec3& to) const;
 
  private:
+  /// d wrapped into (-dim/2, dim/2]; ties (exactly dim/2 for even dim) go
+  /// positive. No division for |d| < dim, the only case in-range
+  /// coordinates produce.
+  static int min_image_component(int d, int dim) {
+    if (d >= dim || d <= -dim) d %= dim;
+    if (d < 0) d += dim;
+    return d > dim / 2 ? d - dim : d;
+  }
+
   IVec3 dims_;
   double cell_size_;
 };

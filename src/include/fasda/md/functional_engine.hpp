@@ -103,7 +103,6 @@ class FunctionalEngine {
   std::vector<float> ewald_energy_coeffs_;
   std::size_t num_elements_;
   std::size_t num_particles_;
-  float min_r2_ = 0.0f;  ///< table lower edge: 2^-ns (normalized)
 
   std::vector<std::vector<Slot>> cells_;
   util::ThreadPool pool_;

@@ -34,13 +34,17 @@ class ForceModel {
   geom::Vec3f pair_force(const fixed::FixedVec3& a, md::ElementId ea,
                          const fixed::FixedVec3& b, md::ElementId eb) const {
     const float r2 = fixed::r2_to_float(fixed::r2_fixed(a, b));
+    // All three tables share one config, so one index serves them all.
+    const interp::TableIndex idx = table14_.index_of(r2);
     float magnitude = 0.0f;
     if (terms_.lj) {
       const md::PairForceCoeffs& k = coeffs_[ea * num_elements_ + eb];
-      magnitude += k.c14 * table14_.eval(r2) - k.c8 * table8_.eval(r2);
+      magnitude +=
+          k.c14 * table14_.eval(r2, idx) - k.c8 * table8_.eval(r2, idx);
     }
     if (terms_.ewald_real) {
-      magnitude += ewald_coeffs_[ea * num_elements_ + eb] * table_ew_.eval(r2);
+      magnitude +=
+          ewald_coeffs_[ea * num_elements_ + eb] * table_ew_.eval(r2, idx);
     }
     return fixed::displacement_to_float(a, b) * magnitude;
   }

@@ -10,7 +10,8 @@
 // chain. Tokens then advance simultaneously into free slots (bubbles
 // propagate backwards; a completely full ring of moving tokens rotates),
 // settled in one backward walk from an empty slot or a stalled token.
-// Freed slots accept injections from their station's local FIFO.
+// Freed slots accept injections from their station's local FIFO. A ring
+// with nothing in flight skips straight to injection.
 //
 // The whole ring ticks as one Component, which keeps movement atomic and
 // independent of global component ordering.
@@ -67,11 +68,7 @@ class Ring : public sim::Component {
   std::size_t num_stations() const { return stations_.size(); }
 
   /// Tokens currently travelling (occupied hop slots).
-  std::size_t occupancy() const {
-    std::size_t n = 0;
-    for (const auto& s : slots_) n += s.has_value();
-    return n;
-  }
+  std::size_t occupancy() const { return in_flight_; }
 
   /// Hop slot `i` as committed by the last tick (empty when no token).
   const std::optional<Slot>& slot(std::size_t i) const { return slots_[i]; }
@@ -81,9 +78,7 @@ class Ring : public sim::Component {
   /// A ring only acts on tokens in flight or waiting to inject; everything
   /// else (station FIFO fills) executes a cycle and re-sweeps.
   sim::Cycle next_wake(sim::Cycle now) const override {
-    for (const auto& s : slots_) {
-      if (s) return now;
-    }
+    if (in_flight_ > 0) return now;
     for (const sim::Fifo<T>* src : sources_) {
       if (src != nullptr && !src->empty()) return now;
     }
@@ -100,6 +95,12 @@ class Ring : public sim::Component {
   void tick(sim::Cycle) override {
     const std::size_t n = slots_.size();
     if (n == 0) return;
+    if (in_flight_ == 0) {
+      // Phases 1 and 2 have nothing to act on.
+      util_.record(0, n, false);
+      inject();
+      return;
+    }
 
     // Phase 1: station interaction. A token that delivered a copy but could
     // not advance last cycle is marked delivered_here so the station never
@@ -130,6 +131,7 @@ class Ring : public sim::Component {
         case Station<T>::Action::kDeliverAndDrop:
           if (stations_[i]->try_deliver(slot->token)) {
             slot.reset();
+            --in_flight_;
           } else {
             slot->stalled = true;
           }
@@ -137,6 +139,7 @@ class Ring : public sim::Component {
           break;
         case Station<T>::Action::kDrop:
           slot.reset();
+          --in_flight_;
           anchor = i;
           break;
       }
@@ -166,20 +169,28 @@ class Ring : public sim::Component {
       }
     }
 
-    // Phase 3: injection into empty slots.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (slots_[i]) continue;
-      sim::Fifo<T>* src = sources_[i];
-      if (src != nullptr && !src->empty()) slots_[i] = Slot{src->pop()};
-    }
+    inject();
   }
 
  private:
+  /// Phase 3: injection into empty slots.
+  void inject() {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i]) continue;
+      sim::Fifo<T>* src = sources_[i];
+      if (src != nullptr && !src->empty()) {
+        slots_[i] = Slot{src->pop()};
+        ++in_flight_;
+      }
+    }
+  }
+
   std::vector<Station<T>*> stations_;
   /// stations_[i]->inject_source(), cached: the pointer is fixed for the
   /// station's lifetime (see Station::inject_source).
   std::vector<sim::Fifo<T>*> sources_;
   std::vector<std::optional<Slot>> slots_;
+  std::size_t in_flight_ = 0;  ///< occupied entries of slots_
   sim::UtilCounter util_;
 };
 

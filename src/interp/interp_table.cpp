@@ -1,6 +1,10 @@
 #include "fasda/interp/interp_table.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <tuple>
+#include <utility>
 
 namespace fasda::interp {
 
@@ -9,69 +13,47 @@ InterpTable InterpTable::build(const std::function<double(double)>& f,
   if (config.num_sections < 1 || config.num_bins < 1) {
     throw std::invalid_argument("InterpConfig must have >=1 section and bin");
   }
-  InterpTable table(config);
-  table.a_.resize(static_cast<std::size_t>(config.num_sections) * config.num_bins);
-  table.b_.resize(table.a_.size());
+  auto coeffs = std::make_shared<BinCoeffs[]>(
+      static_cast<std::size_t>(config.num_sections) * config.num_bins);
   for (int s = 0; s < config.num_sections; ++s) {
     for (int b = 0; b < config.num_bins; ++b) {
-      const double x0 = table.bin_left_edge(s, b);
-      const double x1 = table.bin_left_edge(s, b + 1);
+      const double x0 = bin_left_edge(config, s, b);
+      const double x1 = bin_left_edge(config, s, b + 1);
       const double f0 = f(x0);
       const double f1 = f(x1);
       const double slope = (f1 - f0) / (x1 - x0);
-      const std::size_t i =
-          static_cast<std::size_t>(s) * config.num_bins + b;
-      table.a_[i] = static_cast<float>(slope);
-      table.b_[i] = static_cast<float>(f0 - slope * x0);
+      coeffs[static_cast<std::size_t>(s) * config.num_bins + b] = {
+          static_cast<float>(slope), static_cast<float>(f0 - slope * x0)};
     }
   }
-  return table;
+  return InterpTable(config, std::move(coeffs));
 }
 
 InterpTable InterpTable::build_r_pow(int alpha, const InterpConfig& config) {
-  const double exponent = -static_cast<double>(alpha) / 2.0;
-  return build([exponent](double r2) { return std::pow(r2, exponent); }, config);
+  // Process-wide memo: entries are immutable once inserted and live until
+  // exit. The lock is held across a cold build so concurrent first users of
+  // one config wait for a single build rather than racing to insert.
+  static std::mutex mutex;
+  static std::map<std::tuple<int, int, int>, InterpTable> memo;
+  const std::tuple<int, int, int> key{alpha, config.num_sections,
+                                      config.num_bins};
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto it = memo.find(key);
+  if (it == memo.end()) {
+    const double exponent = -static_cast<double>(alpha) / 2.0;
+    InterpTable table = build(
+        [exponent](double r2) { return std::pow(r2, exponent); }, config);
+    it = memo.emplace(key, std::move(table)).first;
+  }
+  return it->second;
 }
 
-double InterpTable::bin_left_edge(int section, int bin) const {
+double InterpTable::bin_left_edge(const InterpConfig& config, int section,
+                                  int bin) {
   // Section s covers [2^(s-ns), 2^(s-ns+1)); bin b starts at
   // 2^(s-ns) * (1 + b/nb).
-  const double section_base = std::ldexp(1.0, section - config_.num_sections);
-  return section_base *
-         (1.0 + static_cast<double>(bin) / config_.num_bins);
-}
-
-TableIndex InterpTable::index_of(float r2) const {
-  TableIndex idx;
-  if (!(r2 > 0.0f) || r2 < std::ldexp(1.0f, -config_.num_sections)) {
-    idx.below_range = true;
-    idx.section = 0;
-    idx.bin = 0;
-    return idx;
-  }
-  if (r2 >= 1.0f) {
-    idx.above_range = true;
-    idx.section = config_.num_sections - 1;
-    idx.bin = config_.num_bins - 1;
-    return idx;
-  }
-  // Eq. 9: s = floor(log2(r²)) + n_s, taken from the float exponent bits.
-  int exponent = 0;
-  const float mantissa = std::frexp(r2, &exponent);  // r2 = mantissa * 2^exponent, mantissa in [0.5,1)
-  // floor(log2(r2)) = exponent - 1 for normalized mantissa in [0.5, 1).
-  idx.section = exponent - 1 + config_.num_sections;
-  // Eq. 10: b = floor((2^(ns-s) * r² - 1) * n_b); 2^(ns-s)*r² = 2*mantissa.
-  int bin = static_cast<int>((2.0f * mantissa - 1.0f) * config_.num_bins);
-  if (bin >= config_.num_bins) bin = config_.num_bins - 1;
-  idx.bin = bin;
-  return idx;
-}
-
-float InterpTable::eval(float r2) const {
-  const TableIndex idx = index_of(r2);
-  const std::size_t i =
-      static_cast<std::size_t>(idx.section) * config_.num_bins + idx.bin;
-  return a_[i] * r2 + b_[i];
+  const double section_base = std::ldexp(1.0, section - config.num_sections);
+  return section_base * (1.0 + static_cast<double>(bin) / config.num_bins);
 }
 
 double InterpTable::max_relative_error(const std::function<double(double)>& f,
@@ -79,8 +61,8 @@ double InterpTable::max_relative_error(const std::function<double(double)>& f,
   double worst = 0.0;
   for (int s = 0; s < config_.num_sections; ++s) {
     for (int b = 0; b < config_.num_bins; ++b) {
-      const double x0 = bin_left_edge(s, b);
-      const double x1 = bin_left_edge(s, b + 1);
+      const double x0 = bin_left_edge(config_, s, b);
+      const double x1 = bin_left_edge(config_, s, b + 1);
       for (int k = 0; k < samples_per_bin; ++k) {
         const double x =
             x0 + (x1 - x0) * (k + 0.5) / samples_per_bin;

@@ -55,7 +55,6 @@ FunctionalEngine::FunctionalEngine(const SystemState& state, ForceField ff,
         "FunctionalEngine requires cell_size == cutoff: the hardware "
         "normalizes R_c to one cell edge (§3.4)");
   }
-  min_r2_ = std::ldexp(1.0f, -config.table.num_sections);
 
   cells_.resize(grid_.num_cells());
   for (std::size_t i = 0; i < state.size(); ++i) {
@@ -88,15 +87,18 @@ std::size_t FunctionalEngine::evaluate_cell_forces(std::size_t cell) {
     const std::uint64_t r2q = fixed::r2_fixed(i.pos, j_pos);
     if (r2q >= fixed::kR2One || r2q < min_r2q) return false;
     const float r2 = fixed::r2_to_float(r2q);
+    // Every table shares config_.table, so one index serves them all.
+    const interp::TableIndex idx = table14_.index_of(r2);
     float magnitude = 0.0f;
     if (config_.terms.lj) {
       const PairForceCoeffs& k =
           force_coeffs_[i.elem * num_elements_ + j_elem];
-      magnitude += k.c14 * table14_.eval(r2) - k.c8 * table8_.eval(r2);
+      magnitude +=
+          k.c14 * table14_.eval(r2, idx) - k.c8 * table8_.eval(r2, idx);
     }
     if (config_.terms.ewald_real) {
       magnitude += ewald_force_coeffs_[i.elem * num_elements_ + j_elem] *
-                   table_ew_force_.eval(r2);
+                   table_ew_force_.eval(r2, idx);
     }
     const geom::Vec3f u = fixed::displacement_to_float(i.pos, j_pos);
     i.force += u * magnitude;
@@ -239,14 +241,16 @@ double FunctionalEngine::interp_potential_energy() const {
       const std::uint64_t r2q = fixed::r2_fixed(i.pos, j_pos);
       if (r2q >= fixed::kR2One || r2q < min_r2q) return;
       const float r2 = fixed::r2_to_float(r2q);
+      const interp::TableIndex idx = table12_.index_of(r2);
       if (config_.terms.lj) {
         const PairEnergyCoeffs& k =
             energy_coeffs_[i.elem * num_elements_ + j_elem];
-        cell_pe += k.e12 * table12_.eval(r2) - k.e6 * table6_.eval(r2);
+        cell_pe +=
+            k.e12 * table12_.eval(r2, idx) - k.e6 * table6_.eval(r2, idx);
       }
       if (config_.terms.ewald_real) {
         cell_pe += ewald_energy_coeffs_[i.elem * num_elements_ + j_elem] *
-                   table_ew_energy_.eval(r2);
+                   table_ew_energy_.eval(r2, idx);
       }
     };
 

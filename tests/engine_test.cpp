@@ -8,9 +8,12 @@
 //     for any worker count.
 //   * Checkpoints written through the observer hook restart any other
 //     engine within each pair's documented import tolerance.
+//   * Engines built concurrently share one copy of each r^-α table.
+//   * Golden result bits: each engine's output is pinned bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -19,8 +22,10 @@
 #include "fasda/engine/batch_runner.hpp"
 #include "fasda/engine/observers.hpp"
 #include "fasda/engine/registry.hpp"
+#include "fasda/interp/interp_table.hpp"
 #include "fasda/md/checkpoint.hpp"
 #include "fasda/md/dataset.hpp"
+#include "fasda/serve/job.hpp"
 
 namespace fasda::engine {
 namespace {
@@ -368,6 +373,138 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return info.param.first + "_to_" + info.param.second;
     });
+
+// The r^-α tables are built once per process and shared by every engine
+// (DESIGN.md "Host numerics"). Four BatchRunner workers build functional
+// and cycle engines at once from a table config no other test in this
+// binary uses, so they race on a cold memo entry; CI runs this under TSan.
+TEST(SharedTables, ConcurrentColdBuildsAgree) {
+  const interp::InterpConfig cfg{.num_sections = 12, .num_bins = 160};
+  const auto ff = md::ForceField::sodium();
+  std::vector<BatchJob> jobs;
+  for (int i = 0; i < 8; ++i) {
+    BatchJob job;
+    job.label = "r" + std::to_string(i);
+    job.state = make_state({3, 3, 3}, 4, 3);
+    job.ff = ff;
+    job.spec = spec_for(i % 2 ? "cycle" : "functional");
+    job.spec.table = cfg;
+    job.steps = 2;
+    jobs.push_back(std::move(job));
+  }
+  const BatchReport parallel = BatchRunner(4).run(jobs);
+  const BatchReport serial = BatchRunner(1).run(jobs);
+  ASSERT_EQ(parallel.replicas.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const ReplicaResult& got = parallel.replicas[i];
+    ASSERT_TRUE(got.ok) << got.error;
+    // Same engine and input: the same bits, whichever worker built it.
+    for (const ReplicaResult* want :
+         {&parallel.replicas[i % 2], &serial.replicas[i]}) {
+      EXPECT_EQ(serve::state_crc32(got.final_state),
+                serve::state_crc32(want->final_state));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.final_energies.total),
+                std::bit_cast<std::uint64_t>(want->final_energies.total));
+    }
+  }
+
+  // Every shared table holds the coefficients a private build produces.
+  for (const int alpha : {14, 8, 12, 6, 2}) {
+    const auto shared = interp::InterpTable::build_r_pow(alpha, cfg);
+    const double exponent = -alpha / 2.0;
+    const auto fresh = interp::InterpTable::build(
+        [exponent](double r2) { return std::pow(r2, exponent); }, cfg);
+    ASSERT_EQ(shared.coefficients().size(), fresh.coefficients().size());
+    for (std::size_t k = 0; k < fresh.coefficients().size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(shared.coefficients()[k].a),
+                std::bit_cast<std::uint32_t>(fresh.coefficients()[k].a));
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(shared.coefficients()[k].b),
+                std::bit_cast<std::uint32_t>(fresh.coefficients()[k].b));
+    }
+  }
+}
+
+// Golden result bits: one small fixed job per engine and force field, its
+// final state CRC and the bit patterns of its four final energies, recorded
+// before the host numerics (table index, minimum image, shared tables) were
+// rewritten. Any change to those kernels must reproduce these bits exactly.
+struct GoldenCase {
+  std::string name;
+  std::string engine;
+  bool nacl = false;
+  bool ewald = false;
+  std::uint32_t state_crc = 0;
+  std::uint64_t potential = 0;
+  std::uint64_t kinetic = 0;
+  std::uint64_t total = 0;
+  std::uint64_t temperature = 0;
+};
+
+// Keeps the ctest name free of the parameter's bytes (which hold pointers).
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
+class GoldenBits : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenBits, MatchRecordedResult) {
+  const GoldenCase& c = GetParam();
+  const md::ForceField ff =
+      c.nacl ? md::ForceField::sodium_chloride() : md::ForceField::sodium();
+  md::DatasetParams p;
+  p.particles_per_cell = 8;
+  p.seed = 11;
+  p.temperature = 150.0;
+  if (c.nacl) p.elements = md::ElementAssignment::kAlternating;
+  const md::SystemState state = md::generate_dataset({3, 3, 3}, 8.5, ff, p);
+
+  EngineSpec spec = spec_for(c.engine);
+  spec.terms.ewald_real = c.ewald;
+  auto eng = Registry::instance().create(state, ff, spec);
+  const RunResult rr = engine::run(*eng, 4, 2, {});
+  const Energies& e = rr.final_energies;
+
+  EXPECT_EQ(serve::state_crc32(eng->state()), c.state_crc);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(e.potential), c.potential);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(e.kinetic), c.kinetic);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(e.total), c.total);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(e.temperature), c.temperature);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryEngine, GoldenBits,
+    ::testing::Values(
+        GoldenCase{"reference_na", "reference", false, false,
+                   0x25dc1c6eu, 0xbf629794be95fa14ull,
+                   0x3fa361dc7468ee00ull, 0x3fa23863287f8e5full,
+                   0x406190d1d05bcd26ull},
+        GoldenCase{"reference_nacl", "reference", true, false,
+                   0xec5c1174u, 0xbf93d92e4f75cfb5ull,
+                   0x3fa41ee83e2b9896ull, 0x3f9464a22ce16177ull,
+                   0x40623c25cb16185aull},
+        GoldenCase{"functional_na", "functional", false, false,
+                   0xc0104aa0u, 0xbf629794be86f877ull,
+                   0x3fa361dc757c84ddull, 0x3fa2386329941556ull,
+                   0x406190d1d1558fc2ull},
+        GoldenCase{"functional_nacl", "functional", true, false,
+                   0x52012c38u, 0xbf93d92e4f77db34ull,
+                   0x3fa41ee83e64e828ull, 0x3f9464a22d51f51cull,
+                   0x40623c25cb4a08dbull},
+        GoldenCase{"functional_nacl_ewald", "functional", true, true,
+                   0xe4eb0ec2u, 0xbff3d0875aba6aa9ull,
+                   0x3fa44ca430ed84f5ull, 0xbff32e223932fe81ull,
+                   0x406265986f5fe264ull},
+        GoldenCase{"cycle_na", "cycle", false, false,
+                   0xba9ebae0u, 0xbf629794be86f877ull,
+                   0x3fa361dc757c2052ull, 0x3fa238632993b0cbull,
+                   0x406190d1d15534a3ull},
+        GoldenCase{"cycle_nacl", "cycle", true, false,
+                   0x40cf5cdeu, 0xbf93d92e4f77db34ull,
+                   0x3fa41ee83e64e635ull, 0x3f9464a22d51f136ull,
+                   0x40623c25cb4a0716ull},
+        GoldenCase{"cycle_nacl_ewald", "cycle", true, true,
+                   0x12a20b93u, 0xbff3d0875ab953d8ull,
+                   0x3fa44ca42ff45912ull, 0xbff32e223939b10full,
+                   0x406265986e7e10e9ull}),
+    [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace fasda::engine

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 
 #include "fasda/geom/cell_grid.hpp"
@@ -123,6 +128,150 @@ TEST(CellGrid, SelfIsNeverNeighbor) {
   for (int id = 0; id < grid.num_cells(); ++id) {
     const IVec3 c = grid.coords(id);
     EXPECT_FALSE(grid.is_forward_neighbor(c, c));
+  }
+}
+
+// Test-local copies of the libm/modulo forms min_image() and
+// cell_displacement() had before they went inline; the inline kernels must
+// agree with them bit for bit.
+Vec3d min_image_with_std_round(const CellGrid& grid, const Vec3d& from,
+                               const Vec3d& to) {
+  const Vec3d b = grid.box();
+  Vec3d d = to - from;
+  d.x -= b.x * std::round(d.x / b.x);
+  d.y -= b.y * std::round(d.y / b.y);
+  d.z -= b.z * std::round(d.z / b.z);
+  return d;
+}
+
+int min_image_component_by_modulo(int d, int dim) {
+  d %= dim;
+  if (d < 0) d += dim;
+  return d > dim / 2 ? d - dim : d;
+}
+
+IVec3 cell_displacement_by_modulo(const CellGrid& grid, const IVec3& from,
+                                  const IVec3& to) {
+  const IVec3 dims = grid.dims();
+  return {min_image_component_by_modulo(to.x - from.x, dims.x),
+          min_image_component_by_modulo(to.y - from.y, dims.y),
+          min_image_component_by_modulo(to.z - from.z, dims.z)};
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_bits(const Vec3d& got, const Vec3d& want) {
+  EXPECT_EQ(bits(got.x), bits(want.x)) << got.x << " vs " << want.x;
+  EXPECT_EQ(bits(got.y), bits(want.y)) << got.y << " vs " << want.y;
+  EXPECT_EQ(bits(got.z), bits(want.z)) << got.z << " vs " << want.z;
+}
+
+TEST(MinImageKernel, RoundHalfAwayMatchesStdRound) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double cases[] = {0.0,
+                          0.5,
+                          1.5,
+                          0.49999999999999994,  // largest double below 0.5
+                          1.4999999999999998,   // largest double below 1.5
+                          std::nextafter(0.5, 1.0),
+                          std::nextafter(1.5, 2.0),
+                          1.0,
+                          0.25,
+                          2.5,
+                          3.4999999,
+                          4503599627370495.5,  // 2^52 - 0.5
+                          4503599627370496.0,  // 2^52
+                          1e300,
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::max(),
+                          inf};
+  for (const double c : cases) {
+    for (const double q : {c, -c}) {
+      EXPECT_EQ(bits(round_half_away(q)), bits(std::round(q))) << q;
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(round_half_away(nan)));
+  EXPECT_TRUE(std::isnan(round_half_away(-nan)));
+
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> u(-4.0, 4.0);
+  for (int i = 0; i < 200000; ++i) {
+    const double q = u(rng);
+    ASSERT_EQ(bits(round_half_away(q)), bits(std::round(q))) << q;
+  }
+}
+
+TEST(MinImageKernel, MinImageMatchesStdRoundFormBitwise) {
+  for (const auto& [dims, cell] :
+       {std::pair{IVec3{3, 3, 3}, 8.5}, std::pair{IVec3{4, 5, 7}, 1.3},
+        std::pair{IVec3{10, 3, 6}, 0.1}}) {
+    const CellGrid grid(dims, cell);
+    const Vec3d b = grid.box();
+    // Exact half-box and whole-box separations, zeros of both signs.
+    const Vec3d special[] = {{0.0, -0.0, 0.0},
+                             {b.x / 2, b.y / 2, b.z / 2},
+                             {-b.x / 2, -b.y / 2, -b.z / 2},
+                             {1.5 * b.x, -1.5 * b.y, 2.5 * b.z},
+                             {b.x, -b.y, 3 * b.z},
+                             {std::nextafter(b.x / 2, 0.0),
+                              std::nextafter(-b.y / 2, 0.0),
+                              std::nextafter(1.5 * b.z, 0.0)}};
+    for (const Vec3d& to : special) {
+      for (const Vec3d& from :
+           {Vec3d{0.0, 0.0, 0.0}, Vec3d{-0.0, -0.0, -0.0}}) {
+        expect_same_bits(grid.min_image(from, to),
+                         min_image_with_std_round(grid, from, to));
+      }
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const Vec3d odd_to{nan, inf, -inf};
+    const Vec3d odd = grid.min_image({0, 0, 0}, odd_to);
+    const Vec3d odd_want = min_image_with_std_round(grid, {0, 0, 0}, odd_to);
+    EXPECT_EQ(std::isnan(odd.x), std::isnan(odd_want.x));
+    EXPECT_EQ(std::isnan(odd.y), std::isnan(odd_want.y));
+    EXPECT_EQ(std::isnan(odd.z), std::isnan(odd_want.z));
+
+    std::mt19937_64 rng(11);
+    std::uniform_real_distribution<double> u(-2.0, 3.0);
+    for (int i = 0; i < 50000; ++i) {
+      const Vec3d from{u(rng) * b.x, u(rng) * b.y, u(rng) * b.z};
+      const Vec3d to{u(rng) * b.x, u(rng) * b.y, u(rng) * b.z};
+      const Vec3d got = grid.min_image(from, to);
+      const Vec3d want = min_image_with_std_round(grid, from, to);
+      ASSERT_EQ(bits(got.x), bits(want.x));
+      ASSERT_EQ(bits(got.y), bits(want.y));
+      ASSERT_EQ(bits(got.z), bits(want.z));
+    }
+  }
+}
+
+TEST(MinImageKernel, CellDisplacementMatchesModuloForm) {
+  for (int n = 3; n <= 10; ++n) {
+    const CellGrid grid({n, n, n}, 1.0);
+    for (CellId a = 0; a < grid.num_cells(); ++a) {
+      for (CellId c = 0; c < grid.num_cells(); ++c) {
+        const IVec3 from = grid.coords(a);
+        const IVec3 to = grid.coords(c);
+        ASSERT_EQ(grid.cell_displacement(from, to),
+                  cell_displacement_by_modulo(grid, from, to));
+      }
+    }
+  }
+  // Out-of-range coordinates take the modulo fallback.
+  const CellGrid grid({3, 4, 7}, 1.0);
+  const int values[] = {-1000003, -29, -8, -7, -4, -3, -1, 0,
+                        3,        4,   7,  8,  13, 29, 1000003};
+  for (const int f : values) {
+    for (const int t : values) {
+      const IVec3 from{f, t, f};
+      const IVec3 to{t, f, t - f};
+      ASSERT_EQ(grid.cell_displacement(from, to),
+                cell_displacement_by_modulo(grid, from, to))
+          << f << " " << t;
+    }
   }
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "fasda/interp/interp_table.hpp"
 #include "fasda/util/rng.hpp"
@@ -126,6 +129,128 @@ TEST(InterpTable, RejectsEmptyConfig) {
   EXPECT_THROW(InterpTable::build_r_pow(8, InterpConfig{.num_sections = 4,
                                                         .num_bins = 0}),
                std::invalid_argument);
+}
+
+// Test-local copy of the frexp-based Eq. 9/10 index the table computed
+// before it took the section and mantissa from the float's bits.
+TableIndex frexp_index(float r2, const InterpConfig& cfg) {
+  TableIndex idx;
+  if (!(r2 > 0.0f) || r2 < std::ldexp(1.0f, -cfg.num_sections)) {
+    idx.below_range = true;
+    return idx;
+  }
+  if (r2 >= 1.0f) {
+    idx.above_range = true;
+    idx.section = cfg.num_sections - 1;
+    idx.bin = cfg.num_bins - 1;
+    return idx;
+  }
+  int exponent = 0;
+  const float mantissa = std::frexp(r2, &exponent);
+  idx.section = exponent - 1 + cfg.num_sections;
+  int bin = static_cast<int>((2.0f * mantissa - 1.0f) * cfg.num_bins);
+  if (bin >= cfg.num_bins) bin = cfg.num_bins - 1;
+  idx.bin = bin;
+  return idx;
+}
+
+::testing::AssertionResult same_index(const InterpTable& table, float r2) {
+  const TableIndex got = table.index_of(r2);
+  const TableIndex want = frexp_index(r2, table.config());
+  if (got.section == want.section && got.bin == want.bin &&
+      got.below_range == want.below_range &&
+      got.above_range == want.above_range) {
+    // And eval() at that index is the old a·r² + b, bit for bit.
+    const BinCoeffs& c =
+        table.coefficients()[static_cast<std::size_t>(want.section) *
+                                 table.config().num_bins +
+                             want.bin];
+    const float old_eval = c.a * r2 + c.b;
+    const float new_eval = table.eval(r2);
+    if (std::bit_cast<std::uint32_t>(old_eval) ==
+            std::bit_cast<std::uint32_t>(new_eval) ||
+        (std::isnan(old_eval) && std::isnan(new_eval))) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "eval(" << r2 << ") = " << new_eval << ", was " << old_eval;
+  }
+  return ::testing::AssertionFailure()
+         << "r2 bits 0x" << std::hex << std::bit_cast<std::uint32_t>(r2)
+         << std::dec << ": (" << got.section << "," << got.bin << ","
+         << got.below_range << got.above_range << ") vs frexp ("
+         << want.section << "," << want.bin << "," << want.below_range
+         << want.above_range << ")";
+}
+
+class IndexFromBits : public ::testing::TestWithParam<InterpConfig> {};
+
+TEST_P(IndexFromBits, MatchesFrexpIndex) {
+  const InterpConfig cfg = GetParam();
+  const InterpTable table = InterpTable::build_r_pow(2, cfg);
+
+  // Every section and bin boundary, and one ulp either side of it.
+  for (int s = 0; s < cfg.num_sections; ++s) {
+    for (int b = 0; b <= cfg.num_bins; ++b) {
+      const float edge = static_cast<float>(
+          std::ldexp(1.0 + static_cast<double>(b) / cfg.num_bins,
+                     s - cfg.num_sections));
+      for (const float r2 :
+           {edge, std::nextafter(edge, 0.0f), std::nextafter(edge, 2.0f)}) {
+        ASSERT_TRUE(same_index(table, r2));
+      }
+    }
+  }
+
+  // Zeros, subnormals, NaN, infinities, negatives and values >= 1.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min();  // smallest normal
+  for (const float r2 :
+       {0.0f, -0.0f, denorm, 3 * denorm, std::nextafter(tiny, 0.0f),
+        tiny / 3, tiny, nan, -nan, inf, -inf, -0.5f, -denorm, 1.0f,
+        std::nextafter(1.0f, 0.0f), std::nextafter(1.0f, 2.0f), 1.5f, 2.0f,
+        std::numeric_limits<float>::max()}) {
+    EXPECT_TRUE(same_index(table, r2));
+  }
+
+  // A strided sweep over the bit patterns of every float in [+0, 1).
+  for (std::uint32_t bits = 0; bits < 0x3f800000u; bits += 4093) {
+    ASSERT_TRUE(same_index(table, std::bit_cast<float>(bits)));
+  }
+}
+
+// The default config, a non-power-of-two bin count, a second section count,
+// and n_s = 140 so the covered range reaches into the subnormals.
+INSTANTIATE_TEST_SUITE_P(
+    Configs, IndexFromBits,
+    ::testing::Values(InterpConfig{14, 256}, InterpConfig{14, 200},
+                      InterpConfig{9, 96}, InterpConfig{20, 7},
+                      InterpConfig{140, 3}),
+    [](const auto& info) {
+      return "ns" + std::to_string(info.param.num_sections) + "_nb" +
+             std::to_string(info.param.num_bins);
+    });
+
+TEST(InterpTable, RPowTablesAreBuiltOnceAndShared) {
+  const InterpConfig cfg{.num_sections = 11, .num_bins = 48};
+  const InterpTable first = InterpTable::build_r_pow(14, cfg);
+  const InterpTable second = InterpTable::build_r_pow(14, cfg);
+  EXPECT_EQ(first.coefficients().data(), second.coefficients().data());
+  EXPECT_NE(InterpTable::build_r_pow(8, cfg).coefficients().data(),
+            first.coefficients().data());
+
+  // The shared table is the table a fresh build produces, bit for bit.
+  const InterpTable fresh = InterpTable::build(
+      [](double r2) { return std::pow(r2, -7.0); }, cfg);
+  ASSERT_EQ(fresh.coefficients().size(), first.coefficients().size());
+  for (std::size_t i = 0; i < fresh.coefficients().size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(fresh.coefficients()[i].a),
+              std::bit_cast<std::uint32_t>(first.coefficients()[i].a));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(fresh.coefficients()[i].b),
+              std::bit_cast<std::uint32_t>(first.coefficients()[i].b));
+  }
 }
 
 }  // namespace

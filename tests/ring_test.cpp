@@ -336,6 +336,14 @@ class RingDifferential {
     fast_.scheduler.run_cycle();
     ref_.scheduler.run_cycle();
     const std::uint64_t cycle = fast_.scheduler.cycle();
+    std::size_t occupied = 0;
+    for (int i = 0; i < n_; ++i) occupied += fast_.ring->slot(i).has_value();
+    if (fast_.ring->occupancy() != occupied) {
+      ADD_FAILURE() << "n=" << n_ << " cycle " << cycle
+                    << ": in-flight count " << fast_.ring->occupancy()
+                    << " but " << occupied << " occupied slots";
+      return false;
+    }
     for (int i = 0; i < n_; ++i) {
       const auto& a = fast_.ring->slot(i);
       const auto& b = ref_.ring->slot(i);
@@ -482,6 +490,39 @@ TEST(RingDifferential, LongStallChainsMatchRelaxation) {
     EXPECT_GT(longest, static_cast<std::size_t>(n) / 2) << "n=" << n;
     d.set_blocked(sink, false);
     for (int cycle = 0; cycle < 40 * n; ++cycle) ASSERT_TRUE(d.step());
+  }
+}
+
+TEST(RingDifferential, EmptyRingIdlesAndRefills) {
+  for (int n = 2; n <= 40; ++n) {
+    RingDifferential d(n, static_cast<std::uint64_t>(n) + 4242, 40);
+    auto& rng = d.rng();
+    int value = 0;
+    // A ring that has never held a token ticks through the empty fast path.
+    for (int cycle = 0; cycle < 5; ++cycle) ASSERT_TRUE(d.step());
+    ASSERT_EQ(d.ring().occupancy(), 0u);
+    for (int round = 0; round < 6; ++round) {
+      // Refill from empty: one token on odd rounds, a burst on even ones,
+      // some injected in the same cycle the ring is found empty.
+      const int pushes = round % 2 ? 1 : 1 + static_cast<int>(rng() % n);
+      for (int k = 0; k < pushes; ++k) {
+        const int src = static_cast<int>(rng() % n);
+        const int dest = static_cast<int>(rng() % n);
+        d.inject(src, Tok{value++, dest, 1 + static_cast<int>(rng() % 3)});
+      }
+      int drained_after = -1;
+      for (int cycle = 0; cycle < 40 * n; ++cycle) {
+        ASSERT_TRUE(d.step()) << "round " << round;
+        if (d.ring().occupancy() == 0) {
+          drained_after = cycle;
+          break;
+        }
+      }
+      ASSERT_GE(drained_after, 0) << "n=" << n << " round " << round;
+      // Idle gap of varying length before the next refill.
+      const int gap = static_cast<int>(rng() % 4);
+      for (int cycle = 0; cycle < gap; ++cycle) ASSERT_TRUE(d.step());
+    }
   }
 }
 
