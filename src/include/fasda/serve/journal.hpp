@@ -1,13 +1,8 @@
 #pragma once
 // Write-ahead job journal for fasda_serve (DESIGN.md §16).
 //
-// An append-only file of CRC-framed records using the same discipline as
-// the client wire protocol (serve/wire.hpp):
-//
-//   [u32 length][u32 crc][u8 type][payload ...]
-//
-// `length` counts the type byte plus the payload, little-endian; `crc` is
-// CRC-32 over the same bytes. Payloads are JSON. The journal is the
+// An append-only file of util/frame.hpp frames — the record format of the
+// client wire protocol — whose payloads are JSON. The journal is the
 // server's durability root: a job is acknowledged to a client only after
 // its kAdmitted record is on disk, and a result is pushed only after its
 // kCompleted record is on disk, so "acknowledged" always implies
@@ -31,6 +26,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "fasda/util/frame.hpp"
 
 namespace fasda::serve {
 
@@ -92,10 +89,14 @@ class JournalError : public std::runtime_error {
       : std::runtime_error("journal: " + what) {}
 };
 
-struct JournalEntry {
-  JournalRecord type = JournalRecord::kAdmitted;
-  std::string payload;
+struct JournalProtocol {
+  using Type = JournalRecord;
+  using Error = JournalError;
+  static constexpr std::uint32_t kMaxLength = kMaxJournalRecordBytes;
+  static bool known(std::uint8_t t) { return journal_record_known(t); }
 };
+
+using JournalEntry = util::frame::Frame<JournalProtocol>;
 
 /// What the scan found past the last valid record.
 enum class JournalTail : std::uint8_t {
@@ -115,8 +116,8 @@ inline const char* journal_tail_name(JournalTail t) {
 
 /// Typed result of scanning a journal: the salvaged record prefix plus a
 /// classification of whatever follows it. Never throws, never crashes,
-/// never silently drops a valid prefix record — fuzzed in
-/// tests/serve_durability_test.cpp (JournalFuzz).
+/// never silently drops a valid prefix record — fuzzed by FrameCodecFuzz
+/// (tests/frame_codec_fuzz.hpp).
 struct RecoveryReport {
   std::vector<JournalEntry> entries;  ///< valid prefix, in append order
   std::size_t salvaged_bytes = 0;     ///< prefix length; truncate-to point
@@ -127,8 +128,11 @@ struct RecoveryReport {
 };
 
 /// Encodes one record in the on-disk framing (exposed for fuzzing).
-std::vector<std::uint8_t> encode_journal_record(JournalRecord type,
-                                                std::string_view payload);
+/// Throws JournalError past the record cap.
+inline std::vector<std::uint8_t> encode_journal_record(
+    JournalRecord type, std::string_view payload) {
+  return util::frame::encode<JournalProtocol>(type, payload);
+}
 
 /// Walks `n` bytes of journal, salvaging the valid record prefix.
 RecoveryReport scan_journal_bytes(const std::uint8_t* data, std::size_t n);

@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "fasda/util/json_escape.hpp"
+
 namespace fasda::serve::json {
 
 class Value {
@@ -62,11 +64,7 @@ class Value {
 /// trailing non-whitespace.
 std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
 
-/// Appends `s` JSON-escaped (no surrounding quotes).
-void append_escaped(std::string& out, std::string_view s);
-
-/// `"s"` with escaping — the building block for handwritten writers.
-std::string quoted(std::string_view s);
+using util::json::quoted;
 
 /// Serializes a Value (round-trip form; integral numbers print exactly).
 std::string dump(const Value& v);

@@ -1,19 +1,13 @@
 #pragma once
 // Client-facing framing for fasda_serve (DESIGN.md §15).
 //
-// A serve connection speaks the same length-prefixed frame shape as the
-// shard transport (shard/frames.hpp):
-//
-//   [u32 length][u32 crc][u8 type][payload ...]
-//
-// `length` counts the type byte plus the payload, little-endian; `crc` is
-// CRC-32 over the same bytes. Payloads are JSON (serve/json.hpp) — the
-// protocol crosses trust boundaries (any process may dial the socket), so
-// unlike the shard transport the decoder here never trusts the peer:
+// A serve connection exchanges util/frame.hpp frames whose payloads are
+// JSON (serve/json.hpp). The protocol crosses trust boundaries (any
+// process may dial the socket), so the decoder never trusts the peer:
 // frames are capped at kMaxFrameBytes, a bad length/CRC/type is a typed
 // DecodeStatus the server answers with a kError frame before closing, and
 // the incremental FrameDecoder consumes byte streams of any chunking
-// without ever reading past what arrived (fuzzed in tests/serve_test.cpp).
+// without ever reading past what arrived (fuzzed by FrameCodecFuzz).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -30,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "fasda/util/crc32.hpp"
+#include "fasda/util/frame.hpp"
 
 namespace fasda::serve {
 
@@ -66,30 +60,6 @@ inline bool msg_type_known(std::uint8_t t) {
 /// stream.
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 24;
 
-struct WireFrame {
-  MsgType type = MsgType::kError;
-  std::string payload;
-};
-
-enum class DecodeStatus : std::uint8_t {
-  kFrame,     ///< a complete frame was produced
-  kNeedMore,  ///< the buffered bytes end mid-frame; feed more
-  kBadLength, ///< zero or over-cap length prefix
-  kBadCrc,    ///< frame CRC mismatch
-  kBadType,   ///< CRC-valid frame with an unknown type byte
-};
-
-inline const char* decode_status_name(DecodeStatus s) {
-  switch (s) {
-    case DecodeStatus::kFrame: return "frame";
-    case DecodeStatus::kNeedMore: return "need-more";
-    case DecodeStatus::kBadLength: return "bad-length";
-    case DecodeStatus::kBadCrc: return "bad-crc";
-    case DecodeStatus::kBadType: return "bad-type";
-  }
-  return "unknown";
-}
-
 /// Socket-level failure: peer closed, syscall error, send/recv timeout.
 /// Protocol violations are NOT exceptions — they come back as DecodeStatus
 /// so the server can answer with a typed kError frame before closing.
@@ -99,207 +69,32 @@ class WireError : public std::runtime_error {
       : std::runtime_error("serve: " + what) {}
 };
 
-inline std::vector<std::uint8_t> encode_frame(MsgType type,
-                                              std::string_view payload) {
-  // Enforce the cap on the sending side too: an oversized payload must
-  // fail loudly here, not poison the peer's decoder with kBadLength (or,
-  // past 4 GiB, silently wrap the u32 length prefix and desync the
-  // stream). Admission caps (job.hpp) keep legitimate results under this.
-  if (payload.size() > kMaxFrameBytes - 1) {
-    throw WireError("frame payload of " + std::to_string(payload.size()) +
-                    " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
-                    "-byte frame cap");
-  }
-  const std::uint32_t length = static_cast<std::uint32_t>(payload.size()) + 1;
-  const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
-  util::Crc32 crc;
-  crc.add_bytes(&type_byte, 1);
-  if (!payload.empty()) crc.add_bytes(payload.data(), payload.size());
-  std::vector<std::uint8_t> buf;
-  buf.reserve(9 + payload.size());
-  const auto put_u32 = [&buf](std::uint32_t v) {
-    buf.push_back(static_cast<std::uint8_t>(v));
-    buf.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf.push_back(static_cast<std::uint8_t>(v >> 24));
-  };
-  put_u32(length);
-  put_u32(crc.value());
-  buf.push_back(type_byte);
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  return buf;
+struct WireProtocol {
+  using Type = MsgType;
+  using Error = WireError;
+  static constexpr std::uint32_t kMaxLength = kMaxFrameBytes;
+  static bool known(std::uint8_t t) { return msg_type_known(t); }
+};
+
+using WireFrame = util::frame::Frame<WireProtocol>;
+using DecodeStatus = util::frame::Status;
+
+inline const char* decode_status_name(DecodeStatus s) {
+  return util::frame::status_name(s);
 }
 
-/// Incremental frame extractor. feed() appends arriving bytes; next()
-/// produces at most one frame per call. An error status poisons the stream
-/// (the caller must close the connection) — after a bad length or CRC the
-/// frame boundary is unknowable, so resynchronization is not attempted.
-class FrameDecoder {
- public:
-  void feed(const void* data, std::size_t n) {
-    if (n == 0) return;
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
-  }
+inline std::vector<std::uint8_t> encode_frame(MsgType type,
+                                              std::string_view payload) {
+  return util::frame::encode<WireProtocol>(type, payload);
+}
 
-  DecodeStatus next(WireFrame& out) {
-    if (poisoned_ != DecodeStatus::kFrame) return poisoned_;
-    if (buf_.size() - pos_ < 8) return compact(DecodeStatus::kNeedMore);
-    const std::uint32_t length = get_u32(pos_);
-    const std::uint32_t want_crc = get_u32(pos_ + 4);
-    if (length == 0 || length > kMaxFrameBytes) {
-      return poison(DecodeStatus::kBadLength);
-    }
-    if (buf_.size() - pos_ < 8 + static_cast<std::size_t>(length)) {
-      return compact(DecodeStatus::kNeedMore);
-    }
-    util::Crc32 crc;
-    crc.add_bytes(buf_.data() + pos_ + 8, length);
-    if (crc.value() != want_crc) return poison(DecodeStatus::kBadCrc);
-    const std::uint8_t type_byte = buf_[pos_ + 8];
-    if (!msg_type_known(type_byte)) return poison(DecodeStatus::kBadType);
-    out.type = static_cast<MsgType>(type_byte);
-    out.payload.assign(
-        reinterpret_cast<const char*>(buf_.data() + pos_ + 9), length - 1);
-    pos_ += 8 + static_cast<std::size_t>(length);
-    compact(DecodeStatus::kFrame);
-    return DecodeStatus::kFrame;
-  }
+/// Incremental decoder; poisoned by the first protocol error (the caller
+/// must close the connection).
+using FrameDecoder = util::frame::Decoder<WireProtocol>;
 
-  std::size_t buffered() const { return buf_.size() - pos_; }
-
- private:
-  DecodeStatus poison(DecodeStatus s) {
-    poisoned_ = s;
-    return s;
-  }
-  DecodeStatus compact(DecodeStatus s) {
-    if (pos_ > 0 && (pos_ >= buf_.size() || pos_ > 4096)) {
-      buf_.erase(buf_.begin(),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-      pos_ = 0;
-    }
-    return s;
-  }
-  std::uint32_t get_u32(std::size_t at) const {
-    return static_cast<std::uint32_t>(buf_[at]) |
-           (static_cast<std::uint32_t>(buf_[at + 1]) << 8) |
-           (static_cast<std::uint32_t>(buf_[at + 2]) << 16) |
-           (static_cast<std::uint32_t>(buf_[at + 3]) << 24);
-  }
-
-  std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0;
-  DecodeStatus poisoned_ = DecodeStatus::kFrame;
-};
-
-/// One serve connection. Owns the fd; move-only. send() writes whole
-/// frames; recv() blocks until one frame (or a protocol error) is
-/// available. Both ends use this class — the framing is symmetric.
-class Conn {
- public:
-  Conn() = default;
-  explicit Conn(int fd) : fd_(fd) {}
-  ~Conn() { close(); }
-
-  Conn(const Conn&) = delete;
-  Conn& operator=(const Conn&) = delete;
-  Conn(Conn&& o) noexcept
-      : fd_(std::exchange(o.fd_, -1)), decoder_(std::move(o.decoder_)) {}
-  Conn& operator=(Conn&& o) noexcept {
-    if (this != &o) {
-      close();
-      fd_ = std::exchange(o.fd_, -1);
-      decoder_ = std::move(o.decoder_);
-    }
-    return *this;
-  }
-
-  bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
-
-  void close() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  /// Unblocks a recv() stuck in another thread; the fd stays owned.
-  void shutdown_both() {
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  }
-
-  void set_recv_timeout(int seconds) {
-    if (fd_ < 0) return;
-    timeval tv{};
-    tv.tv_sec = seconds;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  }
-
-  /// Bounds every blocking send: a peer that stops reading makes send()
-  /// throw WireError after `seconds` instead of holding the sending thread
-  /// (a queue worker, on the server) forever once its TCP buffer fills.
-  void set_send_timeout(int seconds) {
-    if (fd_ < 0) return;
-    timeval tv{};
-    tv.tv_sec = seconds;
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  }
-
-  void send(MsgType type, std::string_view payload) {
-    const std::vector<std::uint8_t> buf = encode_frame(type, payload);
-    write_all(buf.data(), buf.size());
-  }
-
-  /// Raw bytes, bypassing the framer — fault-battery tests use this to
-  /// deliver deliberately damaged frames.
-  void send_raw(const void* data, std::size_t n) { write_all(data, n); }
-
-  /// Returns kFrame with `out` filled, or the typed protocol error. Throws
-  /// WireError on EOF/syscall failure/timeout.
-  DecodeStatus recv(WireFrame& out) {
-    for (;;) {
-      const DecodeStatus st = decoder_.next(out);
-      if (st != DecodeStatus::kNeedMore) return st;
-      std::uint8_t chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          throw WireError("recv timed out");
-        }
-        throw WireError(std::string("recv failed: ") + std::strerror(errno));
-      }
-      if (n == 0) throw WireError("peer closed the connection");
-      decoder_.feed(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  void write_all(const void* data, std::size_t size) {
-    if (fd_ < 0) throw WireError("send on closed connection");
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    while (size > 0) {
-      // MSG_NOSIGNAL: a vanished client surfaces as EPIPE, never SIGPIPE.
-      const ssize_t n = ::send(fd_, p, size, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          // SO_SNDTIMEO expired: the peer stopped reading. The frame may
-          // be half-written, so the stream is dead either way.
-          throw WireError("send timed out");
-        }
-        throw WireError(std::string("send failed: ") + std::strerror(errno));
-      }
-      p += n;
-      size -= static_cast<std::size_t>(n);
-    }
-  }
-
-  int fd_ = -1;
-  FrameDecoder decoder_;
-};
+/// One serve connection. Both ends use this type — the framing is
+/// symmetric.
+using Conn = util::frame::Socket<WireProtocol>;
 
 /// Non-throwing connect: returns an invalid Conn with `err_out` set to the
 /// failing errno (0 for a non-errno failure like a bad address). The retry

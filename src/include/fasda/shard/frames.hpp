@@ -1,35 +1,23 @@
 #pragma once
 // Control framing for the shard transport (DESIGN.md §14).
 //
-// A shard::ProcTransport parent and its worker processes speak a
-// length-prefixed frame protocol over a stream socketpair:
-//
-//   [u32 length][u32 crc][u8 type][payload ...]
-//
-// `length` counts the type byte plus the payload, little-endian; `crc` is
-// CRC-32 over the same bytes, so a torn or corrupted frame is detected at
-// the boundary instead of desynchronizing the round protocol. Data packets
-// ride inside kReport/kDeliver payloads in the net/wire.hpp encoding — the
-// same Packet wire format the fuzz tests cover — framed, not re-framed:
-// the frame CRC covers them like any other payload bytes.
+// A shard::ProcTransport parent and its worker processes exchange
+// util/frame.hpp frames over a stream socketpair. Data packets ride inside
+// kReport/kDeliver payloads in the net/wire.hpp encoding — the same Packet
+// wire format the fuzz tests cover — framed, not re-framed: the frame CRC
+// covers them like any other payload bytes.
 //
 // The channel is strictly request/reply in frame order (the socket is a
 // FIFO), so no frame carries a sequence number. A peer that dies mid-frame
-// surfaces as TransportError from recv()/send(), which ProcTransport
-// converts into the typed sync::NodeFailureError for the owning node.
+// or a damaged frame surfaces as TransportError from recv_frame()/send(),
+// which ProcTransport converts into the typed sync::NodeFailureError for
+// the owning node.
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "fasda/util/crc32.hpp"
+#include "fasda/util/frame.hpp"
 
 namespace fasda::shard {
 
@@ -51,136 +39,44 @@ enum class FrameType : std::uint8_t {
   kError,       ///< worker→parent: exception text; worker exits after
 };
 
-/// Transport-boundary failure: peer closed, syscall error, or a frame that
-/// failed the length/CRC checks. Never escapes shard::ProcTransport — it is
-/// converted to sync::NodeFailureError naming the dead worker's first node.
+/// Transport-boundary failure: peer closed, syscall error, or a damaged
+/// frame. Never escapes shard::ProcTransport — it is converted to
+/// sync::NodeFailureError naming the dead worker's first node.
 class TransportError : public std::runtime_error {
  public:
   explicit TransportError(const std::string& what)
       : std::runtime_error("shard: " + what) {}
 };
 
-struct Frame {
-  FrameType type = FrameType::kError;
-  std::vector<std::uint8_t> payload;
+struct ShardProtocol {
+  using Type = FrameType;
+  using Error = TransportError;
+  /// A control frame bigger than this is certainly a desynchronized
+  /// stream: even a full-cluster fold stays far below it.
+  static constexpr std::uint32_t kMaxLength = 1u << 30;
+  static bool known(std::uint8_t t) {
+    return t >= static_cast<std::uint8_t>(FrameType::kStart) &&
+           t <= static_cast<std::uint8_t>(FrameType::kError);
+  }
 };
 
-/// One end of a worker socketpair. Owns the fd; move-only. send()/recv()
-/// block until the whole frame moved (the protocol is lock-step, so a
-/// blocked peer means the other side is computing, not deadlocked).
-class Channel {
- public:
-  Channel() = default;
-  explicit Channel(int fd) : fd_(fd) {}
-  ~Channel() { close(); }
+using Frame = util::frame::Frame<ShardProtocol>;
 
-  Channel(const Channel&) = delete;
-  Channel& operator=(const Channel&) = delete;
-  Channel(Channel&& o) noexcept : fd_(std::exchange(o.fd_, -1)) {}
-  Channel& operator=(Channel&& o) noexcept {
-    if (this != &o) {
-      close();
-      fd_ = std::exchange(o.fd_, -1);
-    }
-    return *this;
+/// One end of a worker socketpair. send()/recv_frame() block until the
+/// whole frame moved (the protocol is lock-step, so a blocked peer means
+/// the other side is computing, not deadlocked).
+using Channel = util::frame::Socket<ShardProtocol>;
+
+/// The shard's error policy: a damaged frame means a dead worker, so
+/// every protocol error throws like a closed socket does.
+inline Frame recv_frame(Channel& chan) {
+  Frame f;
+  const util::frame::Status st = chan.recv(f);
+  if (st != util::frame::Status::kFrame) {
+    throw TransportError(std::string("damaged frame: ") +
+                         util::frame::status_name(st));
   }
-
-  bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
-
-  void close() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  void send(FrameType type, const std::vector<std::uint8_t>& payload) {
-    const std::uint32_t length = static_cast<std::uint32_t>(payload.size()) + 1;
-    util::Crc32 crc;
-    const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
-    crc.add_bytes(&type_byte, 1);
-    if (!payload.empty()) crc.add_bytes(payload.data(), payload.size());
-    std::vector<std::uint8_t> buf;
-    buf.reserve(9 + payload.size());
-    put_u32(buf, length);
-    put_u32(buf, crc.value());
-    buf.push_back(type_byte);
-    buf.insert(buf.end(), payload.begin(), payload.end());
-    write_all(buf.data(), buf.size());
-  }
-
-  Frame recv() {
-    std::uint8_t header[8];
-    read_all(header, sizeof header);
-    const std::uint32_t length = get_u32(header);
-    const std::uint32_t want_crc = get_u32(header + 4);
-    if (length == 0 || length > kMaxFrameBytes) {
-      throw TransportError("bad frame length " + std::to_string(length));
-    }
-    std::vector<std::uint8_t> body(length);
-    read_all(body.data(), body.size());
-    util::Crc32 crc;
-    crc.add_bytes(body.data(), body.size());
-    if (crc.value() != want_crc) throw TransportError("frame CRC mismatch");
-    Frame f;
-    f.type = static_cast<FrameType>(body[0]);
-    f.payload.assign(body.begin() + 1, body.end());
-    return f;
-  }
-
- private:
-  /// A control frame bigger than this is certainly a desynchronized stream:
-  /// even a full-cluster fold stays far below it.
-  static constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
-
-  static void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-  }
-  static std::uint32_t get_u32(const std::uint8_t* p) {
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-  }
-
-  void write_all(const void* data, std::size_t size) {
-    if (fd_ < 0) throw TransportError("send on closed channel");
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    while (size > 0) {
-      // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not kill the
-      // parent with SIGPIPE.
-      const ssize_t n = ::send(fd_, p, size, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw TransportError(std::string("send failed: ") +
-                             std::strerror(errno));
-      }
-      p += n;
-      size -= static_cast<std::size_t>(n);
-    }
-  }
-
-  void read_all(void* data, std::size_t size) {
-    if (fd_ < 0) throw TransportError("recv on closed channel");
-    auto* p = static_cast<std::uint8_t*>(data);
-    while (size > 0) {
-      const ssize_t n = ::recv(fd_, p, size, 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw TransportError(std::string("recv failed: ") +
-                             std::strerror(errno));
-      }
-      if (n == 0) throw TransportError("peer closed the channel");
-      p += n;
-      size -= static_cast<std::size_t>(n);
-    }
-  }
-
-  int fd_ = -1;
-};
+  return f;
+}
 
 }  // namespace fasda::shard

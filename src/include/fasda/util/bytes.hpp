@@ -1,14 +1,15 @@
 #pragma once
-// Bounds-checked little-endian byte codec for the shard-transport control
-// frames and the Packet wire format (DESIGN.md §14). Writers append to a
-// growable buffer; readers consume from a span and latch a sticky failure
-// flag on overrun instead of throwing, so decoders read an entire message
-// unconditionally and check ok() once at the end — truncated or garbage
-// input can never read out of bounds.
+// Bounds-checked little-endian byte codec for the control-plane frames
+// (util/frame.hpp) and the Packet wire format (DESIGN.md §14). Writers
+// append to a growable buffer; readers consume from a span and latch a
+// sticky failure flag on overrun instead of throwing, so decoders read an
+// entire message unconditionally and check ok() once at the end —
+// truncated or garbage input can never read out of bounds.
 
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fasda::util {
@@ -44,7 +45,12 @@ class ByteWriter {
     buf_.insert(buf_.end(), p, p + n);
   }
 
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   const std::vector<std::uint8_t>& data() const { return buf_; }
+  std::string_view view() const {
+    return {reinterpret_cast<const char*>(buf_.data()), buf_.size()};
+  }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
 
@@ -65,6 +71,8 @@ class ByteReader {
       : data_(data), size_(size) {}
   explicit ByteReader(const std::vector<std::uint8_t>& v)
       : ByteReader(v.data(), v.size()) {}
+  explicit ByteReader(std::string_view s)
+      : ByteReader(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()) {}
 
   /// False once any read ran past the end; reads after a failure return 0.
   bool ok() const { return ok_; }

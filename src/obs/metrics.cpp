@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "fasda/util/json_escape.hpp"
+
 namespace fasda::obs {
 
 namespace {
@@ -304,7 +306,7 @@ std::string MetricsSnapshot::to_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    out += s.name;
+    util::json::append_escaped(out, s.name);
     out += "\",\"kind\":\"";
     out += metric_kind_name(s.kind);
     out += '"';

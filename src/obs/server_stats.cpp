@@ -8,6 +8,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "fasda/util/json_escape.hpp"
+
 namespace fasda::obs {
 
 std::uint64_t wall_micros() {
@@ -224,12 +226,7 @@ std::string ServeTrace::to_chrome_json() const {
                   e.span);
     out += buf;
     if (!e.tenant.empty()) {
-      out += ",\"tenant\":\"";
-      for (char c : e.tenant) {
-        if (c == '"' || c == '\\') out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-      }
-      out += '"';
+      out += ",\"tenant\":" + util::json::quoted(e.tenant);
     }
     if (e.arg_name != nullptr) {
       std::snprintf(buf, sizeof buf, ",\"%s\":%lld", e.arg_name,

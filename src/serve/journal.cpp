@@ -1,5 +1,5 @@
-// Write-ahead job journal (serve/journal.hpp): framing, salvage-scan
-// recovery, fsync-gated appends, and tmp+rename compaction.
+// Write-ahead job journal (serve/journal.hpp): salvage-scan recovery,
+// fsync-gated appends, and tmp+rename compaction.
 
 #include "fasda/serve/journal.hpp"
 
@@ -12,25 +12,10 @@
 #include <utility>
 
 #include "fasda/obs/server_stats.hpp"
-#include "fasda/util/crc32.hpp"
 
 namespace fasda::serve {
 
 namespace {
-
-std::uint32_t get_u32_le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void put_u32_le(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  buf.push_back(static_cast<std::uint8_t>(v));
-  buf.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf.push_back(static_cast<std::uint8_t>(v >> 24));
-}
 
 std::string errno_str(const char* op) {
   return std::string(op) + " failed: " + std::strerror(errno);
@@ -38,78 +23,46 @@ std::string errno_str(const char* op) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_journal_record(JournalRecord type,
-                                                std::string_view payload) {
-  if (payload.size() > kMaxJournalRecordBytes - 1) {
-    throw JournalError("record payload of " + std::to_string(payload.size()) +
-                       " bytes exceeds the " +
-                       std::to_string(kMaxJournalRecordBytes) +
-                       "-byte record cap");
-  }
-  const std::uint32_t length = static_cast<std::uint32_t>(payload.size()) + 1;
-  const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
-  util::Crc32 crc;
-  crc.add_bytes(&type_byte, 1);
-  if (!payload.empty()) crc.add_bytes(payload.data(), payload.size());
-  std::vector<std::uint8_t> buf;
-  buf.reserve(9 + payload.size());
-  put_u32_le(buf, length);
-  put_u32_le(buf, crc.value());
-  buf.push_back(type_byte);
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  return buf;
-}
-
 RecoveryReport scan_journal_bytes(const std::uint8_t* data, std::size_t n) {
+  using util::frame::Status;
   RecoveryReport report;
   std::size_t pos = 0;
   for (;;) {
     const std::size_t remaining = n - pos;
-    if (remaining == 0) {
-      report.tail = JournalTail::kClean;
-      break;
+    const util::frame::Parsed rec =
+        util::frame::parse<JournalProtocol>({data + pos, remaining});
+    if (rec.status == Status::kFrame) {
+      report.entries.push_back(
+          {static_cast<JournalRecord>(rec.type),
+           std::string(reinterpret_cast<const char*>(rec.payload.data()),
+                       rec.payload.size())});
+      pos += rec.size();
+      continue;
     }
-    if (remaining < 8) {
-      report.tail = JournalTail::kTorn;
-      report.issue = "file ends inside a record header (" +
-                     std::to_string(remaining) + " of 8 header bytes)";
-      break;
+    if (rec.status == Status::kNeedMore && remaining == 0) break;  // clean
+    report.tail = rec.status == Status::kNeedMore ? JournalTail::kTorn
+                                                  : JournalTail::kCorrupt;
+    switch (rec.status) {
+      case Status::kNeedMore:
+        if (remaining < util::frame::kHeaderBytes) {
+          report.issue = "file ends inside a record header (" +
+                         std::to_string(remaining) + " of 8 header bytes)";
+        } else {
+          report.issue = "file ends inside a record body (" +
+                         std::to_string(remaining - 8) + " of " +
+                         std::to_string(rec.length) + " body bytes)";
+        }
+        break;
+      case Status::kBadLength:
+        report.issue = "record length " + std::to_string(rec.length) +
+                       " is out of range";
+        break;
+      case Status::kBadCrc: report.issue = "record CRC mismatch"; break;
+      default:
+        report.issue = "unknown record type " + std::to_string(rec.type);
+        break;
     }
-    const std::uint32_t length = get_u32_le(data + pos);
-    const std::uint32_t want_crc = get_u32_le(data + pos + 4);
-    if (length == 0 || length > kMaxJournalRecordBytes) {
-      report.tail = JournalTail::kCorrupt;
-      report.issue =
-          "record length " + std::to_string(length) + " is out of range";
-      break;
-    }
-    if (remaining < 8 + static_cast<std::size_t>(length)) {
-      report.tail = JournalTail::kTorn;
-      report.issue = "file ends inside a record body (" +
-                     std::to_string(remaining - 8) + " of " +
-                     std::to_string(length) + " body bytes)";
-      break;
-    }
-    util::Crc32 crc;
-    crc.add_bytes(data + pos + 8, length);
-    if (crc.value() != want_crc) {
-      report.tail = JournalTail::kCorrupt;
-      report.issue = "record CRC mismatch";
-      break;
-    }
-    const std::uint8_t type_byte = data[pos + 8];
-    if (!journal_record_known(type_byte)) {
-      report.tail = JournalTail::kCorrupt;
-      report.issue =
-          "unknown record type " + std::to_string(type_byte);
-      break;
-    }
-    JournalEntry entry;
-    entry.type = static_cast<JournalRecord>(type_byte);
-    entry.payload.assign(reinterpret_cast<const char*>(data + pos + 9),
-                         length - 1);
-    report.entries.push_back(std::move(entry));
-    pos += 8 + static_cast<std::size_t>(length);
+    break;
   }
   report.salvaged_bytes = pos;
   report.quarantined_bytes = n - pos;

@@ -37,6 +37,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -281,15 +282,15 @@ struct WorkerState {
   std::vector<std::pair<net::Packet<net::MigRecord>, sim::Cycle>> mig_up;
 };
 
-std::vector<std::uint8_t> owned_statuses(const WorkerState& ws) {
+ByteWriter owned_statuses(const WorkerState& ws) {
   ByteWriter w;
   for (int i = ws.lo; i < ws.hi; ++i) {
     put_status(w, status_of(*(*ws.r.nodes)[static_cast<std::size_t>(i)]));
   }
-  return w.take();
+  return w;
 }
 
-std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
+ByteWriter fold_payload(const WorkerState& ws) {
   ByteWriter w;
   const sim::Cycle now = ws.r.scheduler->cycle();
   for (int i = ws.lo; i < ws.hi; ++i) {
@@ -345,7 +346,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
   } else {
     w.u8(0);
   }
-  return w.take();
+  return w;
 }
 
 [[noreturn]] void worker_main(WorkerState ws) {
@@ -368,7 +369,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
         });
 
     for (;;) {
-      const Frame f = ws.chan.recv();
+      const Frame f = recv_frame(ws.chan);
       ByteReader r(f.payload);
       switch (f.type) {
         case FrameType::kStart: {
@@ -379,7 +380,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
                 iterations, ws.r.dt_fs, ws.r.cutoff, *ws.r.ff);
           }
           if (!ws.naive) sched.driver_begin_run();
-          ws.chan.send(FrameType::kStatus, owned_statuses(ws));
+          ws.chan.send(FrameType::kStatus, owned_statuses(ws).view());
           break;
         }
         case FrameType::kSweep: {
@@ -388,7 +389,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
               ws.naive ? sched.cycle() : sched.driver_loop_top();
           ByteWriter out;
           out.u64(wake);
-          ws.chan.send(FrameType::kWake, out.take());
+          ws.chan.send(FrameType::kWake, out.view());
           break;
         }
         case FrameType::kJump: {
@@ -397,7 +398,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
             throw TransportError("bad kJump target");
           }
           sched.driver_jump(to);
-          ws.chan.send(FrameType::kStatus, owned_statuses(ws));
+          ws.chan.send(FrameType::kStatus, owned_statuses(ws).view());
           break;
         }
         case FrameType::kExec: {
@@ -413,9 +414,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
           } else {
             sched.driver_execute();
           }
-          ByteWriter out;
-          const std::vector<std::uint8_t> statuses = owned_statuses(ws);
-          out.bytes(statuses.data(), statuses.size());
+          ByteWriter out = owned_statuses(ws);
           const std::vector<std::uint64_t> votes =
               ws.r.barrier != nullptr ? ws.r.barrier->take_votes()
                                       : std::vector<std::uint64_t>{};
@@ -424,7 +423,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
           put_deliveries(out, ws.pos_up);
           put_deliveries(out, ws.frc_up);
           put_deliveries(out, ws.mig_up);
-          ws.chan.send(FrameType::kReport, out.take());
+          ws.chan.send(FrameType::kReport, out.view());
           break;
         }
         case FrameType::kDeliver: {
@@ -470,7 +469,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
         }
         case FrameType::kFold: {
           if (!r.done()) throw TransportError("bad kFold payload");
-          ws.chan.send(FrameType::kFoldData, fold_payload(ws));
+          ws.chan.send(FrameType::kFoldData, fold_payload(ws).view());
           break;
         }
         case FrameType::kShutdown:
@@ -483,9 +482,7 @@ std::vector<std::uint8_t> fold_payload(const WorkerState& ws) {
     }
   } catch (const std::exception& e) {
     try {
-      const std::string what = e.what();
-      ws.chan.send(FrameType::kError,
-                   std::vector<std::uint8_t>(what.begin(), what.end()));
+      ws.chan.send(FrameType::kError, e.what());
     } catch (...) {
     }
     ::_exit(1);
@@ -622,7 +619,7 @@ class ProcTransport final : public ShardTransport {
     try {
       ByteWriter w;
       w.u32(static_cast<std::uint32_t>(iterations));
-      broadcast(FrameType::kStart, w.take());
+      broadcast(FrameType::kStart, w.view());
       collect_statuses();
       drive(start + limits.max_cycles_per_iteration *
                         static_cast<sim::Cycle>(iterations),
@@ -656,8 +653,7 @@ class ProcTransport final : public ShardTransport {
     return sync::NodeFailureError(w.lo, "worker-process", 0, now_);
   }
 
-  void send_to(Worker& w, FrameType type,
-               const std::vector<std::uint8_t>& payload) {
+  void send_to(Worker& w, FrameType type, std::string_view payload) {
     if (w.dead) throw worker_failure(w);
     try {
       w.chan.send(type, payload);
@@ -671,7 +667,7 @@ class ProcTransport final : public ShardTransport {
     if (w.dead) throw worker_failure(w);
     Frame f;
     try {
-      f = w.chan.recv();
+      f = recv_frame(w.chan);
     } catch (const TransportError&) {
       w.dead = true;
       throw worker_failure(w);
@@ -681,7 +677,7 @@ class ProcTransport final : public ShardTransport {
       throw std::runtime_error(
           "shard worker [" + std::to_string(w.lo) + "," +
           std::to_string(w.hi) + "): " +
-          std::string(f.payload.begin(), f.payload.end()));
+          f.payload);
     }
     if (f.type != expect) {
       w.dead = true;
@@ -690,7 +686,7 @@ class ProcTransport final : public ShardTransport {
     return f;
   }
 
-  void broadcast(FrameType type, const std::vector<std::uint8_t>& payload) {
+  void broadcast(FrameType type, std::string_view payload) {
     for (auto& w : workers_) send_to(w, type, payload);
   }
 
@@ -782,7 +778,7 @@ class ProcTransport final : public ShardTransport {
         const sim::Cycle to = std::min(wake, budget);
         ByteWriter jw;
         jw.u64(to);
-        broadcast(FrameType::kJump, jw.take());
+        broadcast(FrameType::kJump, jw.view());
         collect_statuses();
         now_ = to;
         continue;
@@ -794,7 +790,7 @@ class ProcTransport final : public ShardTransport {
   void exec_round() {
     ByteWriter ew;
     ew.u64(now_);
-    broadcast(FrameType::kExec, ew.take());
+    broadcast(FrameType::kExec, ew.view());
 
     std::vector<std::pair<net::Packet<net::PosRecord>, sim::Cycle>> pos;
     std::vector<std::pair<net::Packet<net::FrcRecord>, sim::Cycle>> frc;
@@ -856,7 +852,7 @@ class ProcTransport final : public ShardTransport {
         dw.u64(seq);
         dw.u64(at);
       }
-      send_to(w, FrameType::kDeliver, dw.take());
+      send_to(w, FrameType::kDeliver, dw.view());
     }
     ++now_;
   }
@@ -900,7 +896,7 @@ class ProcTransport final : public ShardTransport {
       Frame f;
       try {
         w.chan.send(FrameType::kFold, {});
-        f = w.chan.recv();
+        f = recv_frame(w.chan);
       } catch (...) {
         w.dead = true;
         continue;

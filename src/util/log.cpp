@@ -2,11 +2,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+
+#include "fasda/util/json_escape.hpp"
 
 namespace fasda::util {
 
@@ -28,20 +29,6 @@ const char* json_level_name(LogLevel level) noexcept {
   return "?";
 }
 
-void json_escaped(std::FILE* f, std::string_view s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      std::fputc('\\', f);
-      std::fputc(c, f);
-    } else if (u < 0x20) {
-      std::fprintf(f, "\\u%04x", u);
-    } else {
-      std::fputc(c, f);
-    }
-  }
-}
-
 /// One JSON line per message; caller holds g_emit_mutex.
 void json_emit_locked(LogLevel level, const LogFields& fields,
                       std::string_view msg) {
@@ -49,24 +36,17 @@ void json_emit_locked(LogLevel level, const LogFields& fields,
   const auto ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
                          std::chrono::system_clock::now().time_since_epoch())
                          .count();
-  std::fprintf(g_json, "{\"ts_us\":%lld,\"level\":\"%s\"",
-               static_cast<long long>(ts_us), json_level_name(level));
+  std::string line = "{\"ts_us\":" + std::to_string(ts_us) +
+                     ",\"level\":\"" + json_level_name(level) + '"';
   if (!fields.component.empty()) {
-    std::fputs(",\"component\":\"", g_json);
-    json_escaped(g_json, fields.component);
-    std::fputc('"', g_json);
+    line += ",\"component\":" + json::quoted(fields.component);
   }
-  if (fields.job != 0) {
-    std::fprintf(g_json, ",\"job\":%" PRIu64, fields.job);
-  }
+  if (fields.job != 0) line += ",\"job\":" + std::to_string(fields.job);
   if (!fields.tenant.empty()) {
-    std::fputs(",\"tenant\":\"", g_json);
-    json_escaped(g_json, fields.tenant);
-    std::fputc('"', g_json);
+    line += ",\"tenant\":" + json::quoted(fields.tenant);
   }
-  std::fputs(",\"msg\":\"", g_json);
-  json_escaped(g_json, msg);
-  std::fputs("\"}\n", g_json);
+  line += ",\"msg\":" + json::quoted(msg) + "}\n";
+  std::fwrite(line.data(), 1, line.size(), g_json);
   std::fflush(g_json);
 }
 }  // namespace

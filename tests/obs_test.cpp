@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <utility>
@@ -20,6 +22,7 @@
 #include "fasda/md/dataset.hpp"
 #include "fasda/obs/obs.hpp"
 #include "fasda/obs/server_stats.hpp"
+#include "fasda/serve/json.hpp"
 #include "fasda/util/log.hpp"
 
 namespace fasda {
@@ -217,6 +220,45 @@ TEST(ServerStats, TenantCountersAndDisableGate) {
   EXPECT_EQ(snap.counter_total("serve.tenant.acme.submitted"), 2u);
 }
 
+// Any 1..64-character tenant is legal on the wire, and it becomes part of
+// a metric name: the stats JSON must stay parseable whatever it holds.
+TEST(ServerStats, TenantNeedingEscapesKeepsStatsJsonParseable) {
+  obs::ServerStats stats;
+  const std::string tenant = "a\"b\\c\x01";
+  const std::string name = "serve.tenant." + tenant + ".submitted";
+  stats.tenant_add(tenant, "submitted");
+  const obs::MetricsSnapshot snap = stats.snapshot();
+  EXPECT_EQ(snap.counter_total(name), 1u);
+  std::string error;
+  const auto doc = serve::json::parse(snap.to_json(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const serve::json::Value* metrics = doc->find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  long long total = -1;
+  for (const serve::json::Value& m : metrics->items) {
+    if (m.find("name")->str_or("") == name) total = m.find("total")->int_or(-1);
+  }
+  EXPECT_EQ(total, 1);
+}
+
+TEST(ServeTrace, TenantControlBytesAreEscapedNotDropped) {
+  obs::ServeTrace trace;
+  const std::string tenant = "t\"\\\n\x01";
+  trace.begin(7, 1, "job", tenant);
+  trace.end(7, 1, "job");
+  std::string error;
+  const auto doc = serve::json::parse(trace.to_chrome_json(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  std::size_t tagged = 0;
+  for (const serve::json::Value& e : doc->find("traceEvents")->items) {
+    const serve::json::Value* args = e.find("args");
+    if (args == nullptr || args->find("tenant") == nullptr) continue;
+    EXPECT_EQ(args->find("tenant")->str_or(""), tenant);
+    ++tagged;
+  }
+  EXPECT_EQ(tagged, 1u);
+}
+
 TEST(ServeTrace, ExportClosesOpenSpansAndKeepsSpanIds) {
   obs::ServeTrace trace;
   trace.begin(7, 12345, "job", "acme");
@@ -325,6 +367,39 @@ TEST(ObsLog, SinkCapturesFormattedLines) {
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0].first, util::LogLevel::kInfo);
   EXPECT_EQ(lines[0].second, "kept 2 of 3");
+}
+
+TEST(ObsLog, JsonSinkEscapesEveryField) {
+  const std::string path = ::testing::TempDir() + "obs_json_sink.jsonl";
+  std::remove(path.c_str());
+  const std::string component = "comp\"\\\n\x01";
+  const std::string tenant = "ten\"\\\n\x01";
+  const std::string msg = "msg\"\\\n\x01";
+  util::set_log_sink([](util::LogLevel, std::string_view) {});
+  ASSERT_TRUE(util::open_json_log(path));
+  util::slog(util::LogLevel::kError, util::LogFields(component, 42, tenant),
+             "%s", msg.c_str());
+  util::log(util::LogLevel::kError, "%s", msg.c_str());
+  util::close_json_log();
+  util::set_log_sink({});
+
+  std::ifstream in(path);
+  std::vector<serve::json::Value> lines;
+  for (std::string line; std::getline(in, line);) {
+    std::string error;
+    auto v = serve::json::parse(line, &error);
+    ASSERT_TRUE(v.has_value()) << error << " in " << line;
+    lines.push_back(std::move(*v));
+  }
+  std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].find("level")->str_or(""), "error");
+  EXPECT_EQ(lines[0].find("component")->str_or(""), component);
+  EXPECT_EQ(lines[0].find("job")->int_or(0), 42);
+  EXPECT_EQ(lines[0].find("tenant")->str_or(""), tenant);
+  EXPECT_EQ(lines[0].find("msg")->str_or(""), msg);
+  EXPECT_EQ(lines[1].find("component"), nullptr);
+  EXPECT_EQ(lines[1].find("msg")->str_or(""), msg);
 }
 
 TEST(ObsLog, ParseLogLevelRoundTrips) {

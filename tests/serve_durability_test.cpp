@@ -39,6 +39,7 @@
 #include "fasda/serve/json.hpp"
 #include "fasda/serve/queue.hpp"
 #include "fasda/serve/server.hpp"
+#include "frame_codec_fuzz.hpp"
 
 using namespace fasda;
 using namespace fasda::serve;
@@ -162,140 +163,31 @@ std::vector<std::vector<std::uint8_t>> corpus_records() {
 }  // namespace
 
 // ====================================================================
-// 1. JournalFuzz — the on-disk format under every kind of damage
+// 1. JournalFuzz — the on-disk format under every kind of damage. The
+//    codec cases are the journal's share of the FrameCodecFuzz battery
+//    (tests/frame_codec_fuzz.hpp); the two that need a file or the
+//    clean-shutdown rule are journal policy and live here.
 // ====================================================================
 
+namespace ff = fasda::frame_fuzz;
+
 TEST(JournalFuzz, RoundTripCleanStream) {
-  const auto records = corpus_records();
-  std::vector<std::uint8_t> bytes;
-  for (const auto& r : records) append_all(bytes, r);
-
-  const RecoveryReport report =
-      scan_journal_bytes(bytes.data(), bytes.size());
-  ASSERT_EQ(report.entries.size(), records.size());
-  EXPECT_EQ(report.tail, JournalTail::kClean);
-  EXPECT_TRUE(report.clean_shutdown);
-  EXPECT_EQ(report.salvaged_bytes, bytes.size());
-  EXPECT_EQ(report.quarantined_bytes, 0u);
-  EXPECT_EQ(report.entries[0].type, JournalRecord::kAdmitted);
-  EXPECT_EQ(report.entries.back().type, JournalRecord::kCleanShutdown);
+  ff::random_frames_round_trip<JournalProtocol>();
 }
-
-// Cutting the stream at EVERY byte offset salvages exactly the records
-// that are fully present: clean on a record boundary, torn anywhere else,
-// and never a crash or a lost prefix record.
 TEST(JournalFuzz, EveryTruncationPoint) {
-  const auto records = corpus_records();
-  std::vector<std::uint8_t> bytes;
-  std::vector<std::size_t> boundaries{0};
-  for (const auto& r : records) {
-    append_all(bytes, r);
-    boundaries.push_back(bytes.size());
-  }
-
-  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
-    const RecoveryReport report = scan_journal_bytes(bytes.data(), cut);
-    std::size_t full = 0;
-    while (full + 1 < boundaries.size() && boundaries[full + 1] <= cut) {
-      ++full;
-    }
-    ASSERT_EQ(report.entries.size(), full) << "cut=" << cut;
-    EXPECT_EQ(report.salvaged_bytes, boundaries[full]) << "cut=" << cut;
-    EXPECT_EQ(report.quarantined_bytes, cut - boundaries[full]);
-    const bool on_boundary = cut == boundaries[full];
-    EXPECT_EQ(report.tail,
-              on_boundary ? JournalTail::kClean : JournalTail::kTorn)
-        << "cut=" << cut;
-    if (!on_boundary) EXPECT_FALSE(report.issue.empty());
-  }
+  ff::every_truncation<JournalProtocol>();
 }
-
-// Flipping EVERY single bit of the stream: the records strictly before the
-// damaged one are always salvaged byte-identically (zero silent loss), the
-// scan never crashes, and damage is reported as a typed non-clean tail.
 TEST(JournalFuzz, EverySingleBitFlip) {
-  const auto records = corpus_records();
-  std::vector<std::uint8_t> bytes;
-  std::vector<std::size_t> boundaries{0};
-  for (const auto& r : records) {
-    append_all(bytes, r);
-    boundaries.push_back(bytes.size());
-  }
-  const RecoveryReport pristine =
-      scan_journal_bytes(bytes.data(), bytes.size());
-
-  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
-    // Which record holds this byte?
-    std::size_t record = 0;
-    while (boundaries[record + 1] <= byte) ++record;
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<std::uint8_t> mutated = bytes;
-      mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      const RecoveryReport report =
-          scan_journal_bytes(mutated.data(), mutated.size());
-      ASSERT_GE(report.entries.size(), record)
-          << "byte=" << byte << " bit=" << bit;
-      for (std::size_t i = 0; i < record; ++i) {
-        ASSERT_EQ(report.entries[i].type, pristine.entries[i].type);
-        ASSERT_EQ(report.entries[i].payload, pristine.entries[i].payload);
-      }
-      if (report.entries.size() == record) {
-        EXPECT_NE(report.tail, JournalTail::kClean)
-            << "undetected damage at byte=" << byte << " bit=" << bit;
-        EXPECT_FALSE(report.issue.empty());
-      }
-    }
-  }
+  ff::every_single_bit_flip<JournalProtocol>();
 }
-
-// Duplicated records are preserved by the scan (the recovery fold dedups
-// them); a duplicated stream is valid, not damage.
 TEST(JournalFuzz, DuplicatedRecordsSurviveScan) {
-  const auto records = corpus_records();
-  std::vector<std::uint8_t> bytes;
-  append_all(bytes, records[0]);
-  append_all(bytes, records[0]);
-  append_all(bytes, records[1]);
-  const RecoveryReport report =
-      scan_journal_bytes(bytes.data(), bytes.size());
-  ASSERT_EQ(report.entries.size(), 3u);
-  EXPECT_EQ(report.entries[0].payload, report.entries[1].payload);
-  EXPECT_EQ(report.tail, JournalTail::kClean);
+  ff::duplicated_frames_survive<JournalProtocol>();
 }
-
 TEST(JournalFuzz, ZeroAndOversizedLengthsAreCorrupt) {
-  // length == 0
-  std::vector<std::uint8_t> zero{0, 0, 0, 0, 1, 2, 3, 4};
-  RecoveryReport report = scan_journal_bytes(zero.data(), zero.size());
-  EXPECT_EQ(report.tail, JournalTail::kCorrupt);
-  EXPECT_TRUE(report.entries.empty());
-
-  // length > kMaxJournalRecordBytes
-  const std::uint32_t huge = kMaxJournalRecordBytes + 1;
-  std::vector<std::uint8_t> big{
-      static_cast<std::uint8_t>(huge), static_cast<std::uint8_t>(huge >> 8),
-      static_cast<std::uint8_t>(huge >> 16),
-      static_cast<std::uint8_t>(huge >> 24), 0, 0, 0, 0};
-  report = scan_journal_bytes(big.data(), big.size());
-  EXPECT_EQ(report.tail, JournalTail::kCorrupt);
-  EXPECT_FALSE(report.issue.empty());
+  ff::zero_and_oversized_lengths<JournalProtocol>();
 }
-
 TEST(JournalFuzz, RandomGarbageNeverCrashes) {
-  std::mt19937 rng(0xFA5DA);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<std::uint8_t> bytes(rng() % 512);
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
-    const RecoveryReport report =
-        scan_journal_bytes(bytes.data(), bytes.size());
-    // Whatever was salvaged must re-encode to exactly the salvaged prefix.
-    std::size_t replayed = 0;
-    for (const JournalEntry& e : report.entries) {
-      replayed += encode_journal_record(e.type, e.payload).size();
-    }
-    EXPECT_EQ(replayed, report.salvaged_bytes);
-    EXPECT_EQ(report.salvaged_bytes + report.quarantined_bytes, bytes.size());
-  }
+  ff::random_garbage_salvages_only_valid_frames<JournalProtocol>();
 }
 
 TEST(JournalFuzz, CleanShutdownOnlyWhenLastRecord) {

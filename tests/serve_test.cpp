@@ -7,8 +7,9 @@
 //      daemon restarts.
 //   2. Fault battery: client disconnect mid-job, malformed / oversized /
 //      bad-CRC frames, queue-full admission rejection, SIGTERM drain.
-//   3. Protocol codec fuzz: round-trip, truncation, bit flips, duplicated
-//      length prefixes, random chunking (the net_test WireFuzz style).
+//   3. Protocol codec fuzz: the wire's cases of the shared FrameCodecFuzz
+//      battery (round-trip, truncation, bit flips, duplicated length
+//      prefixes, random chunking), kept under their ServeWireFuzz names.
 //   4. The queue/admission/JSON building blocks in isolation.
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <random>
 #include <thread>
 
 #include "fasda/serve/client.hpp"
@@ -25,6 +25,7 @@
 #include "fasda/serve/queue.hpp"
 #include "fasda/serve/server.hpp"
 #include "fasda/serve/wire.hpp"
+#include "frame_codec_fuzz.hpp"
 
 using namespace fasda;
 using namespace fasda::serve;
@@ -576,174 +577,35 @@ TEST(ServeObs, DeterminismIsUnaffectedByObservability) {
 }
 
 // ====================================================================
-// 3. Protocol codec fuzz (WireFuzz style)
+// 3. Protocol codec fuzz: the wire's cases of the FrameCodecFuzz battery
+//    (tests/frame_codec_fuzz.hpp), under their historical names
 // ====================================================================
 
-namespace {
-
-std::string rand_payload(std::mt19937& rng) {
-  std::uniform_int_distribution<int> len(0, 300);
-  std::uniform_int_distribution<int> byte(0, 255);
-  std::string s(static_cast<std::size_t>(len(rng)), '\0');
-  for (char& c : s) c = static_cast<char>(byte(rng));
-  return s;
-}
-
-MsgType rand_type(std::mt19937& rng) {
-  static const MsgType kTypes[] = {
-      MsgType::kSubmit,   MsgType::kQuery,  MsgType::kPing,
-      MsgType::kAccepted, MsgType::kRejected, MsgType::kStatus,
-      MsgType::kResult,   MsgType::kPong,   MsgType::kError,
-  };
-  std::uniform_int_distribution<std::size_t> pick(0, 8);
-  return kTypes[pick(rng)];
-}
-
-}  // namespace
+namespace ff = fasda::frame_fuzz;
 
 TEST(ServeWireFuzz, RandomFramesRoundTripThroughRandomChunking) {
-  std::mt19937 rng(0x5eed);
-  for (int iter = 0; iter < 200; ++iter) {
-    const int count = 1 + static_cast<int>(rng() % 5);
-    std::vector<WireFrame> sent;
-    std::vector<std::uint8_t> stream;
-    for (int i = 0; i < count; ++i) {
-      WireFrame f;
-      f.type = rand_type(rng);
-      f.payload = rand_payload(rng);
-      const auto buf = encode_frame(f.type, f.payload);
-      stream.insert(stream.end(), buf.begin(), buf.end());
-      sent.push_back(std::move(f));
-    }
-    FrameDecoder decoder;
-    std::vector<WireFrame> got;
-    std::size_t off = 0;
-    while (off < stream.size()) {
-      const std::size_t chunk =
-          std::min<std::size_t>(1 + rng() % 17, stream.size() - off);
-      decoder.feed(stream.data() + off, chunk);
-      off += chunk;
-      for (;;) {
-        WireFrame f;
-        const DecodeStatus st = decoder.next(f);
-        if (st == DecodeStatus::kNeedMore) break;
-        ASSERT_EQ(st, DecodeStatus::kFrame);
-        got.push_back(std::move(f));
-      }
-    }
-    ASSERT_EQ(got.size(), sent.size());
-    for (std::size_t i = 0; i < sent.size(); ++i) {
-      EXPECT_EQ(got[i].type, sent[i].type);
-      EXPECT_EQ(got[i].payload, sent[i].payload);
-    }
-    EXPECT_EQ(decoder.buffered(), 0u);
-  }
+  ff::random_frames_round_trip<WireProtocol>();
 }
-
 TEST(ServeWireFuzz, EveryTruncationAsksForMore) {
-  const auto buf = encode_frame(MsgType::kSubmit, "{\"steps\":4}");
-  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-    FrameDecoder decoder;
-    decoder.feed(buf.data(), cut);
-    WireFrame f;
-    EXPECT_EQ(decoder.next(f), DecodeStatus::kNeedMore) << "cut=" << cut;
-  }
+  ff::every_truncation<WireProtocol>();
 }
-
 TEST(ServeWireFuzz, EverySingleBitFlipIsRejected) {
-  const auto clean = encode_frame(MsgType::kQuery, "{\"job\":12345}");
-  for (std::size_t byte = 0; byte < clean.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      auto buf = clean;
-      buf[byte] ^= static_cast<std::uint8_t>(1 << bit);
-      FrameDecoder decoder;
-      decoder.feed(buf.data(), buf.size());
-      WireFrame f;
-      const DecodeStatus st = decoder.next(f);
-      // A flip in the length prefix may leave the decoder waiting for a
-      // longer frame; every other flip must be a typed rejection. No flip
-      // may ever produce a valid frame.
-      EXPECT_NE(st, DecodeStatus::kFrame)
-          << "byte=" << byte << " bit=" << bit;
-    }
-  }
+  ff::every_single_bit_flip<WireProtocol>();
 }
-
 TEST(ServeWireFuzz, OversizedAndZeroLengthsAreRejected) {
-  for (const std::uint32_t length : {0u, kMaxFrameBytes + 1, 0xffffffffu}) {
-    std::vector<std::uint8_t> buf(9, 0);
-    buf[0] = static_cast<std::uint8_t>(length);
-    buf[1] = static_cast<std::uint8_t>(length >> 8);
-    buf[2] = static_cast<std::uint8_t>(length >> 16);
-    buf[3] = static_cast<std::uint8_t>(length >> 24);
-    FrameDecoder decoder;
-    decoder.feed(buf.data(), buf.size());
-    WireFrame f;
-    EXPECT_EQ(decoder.next(f), DecodeStatus::kBadLength) << length;
-  }
+  ff::zero_and_oversized_lengths<WireProtocol>();
 }
-
 TEST(ServeWireFuzz, DuplicatedLengthPrefixDesyncsToTypedError) {
-  const auto clean = encode_frame(MsgType::kPing, "{}");
-  // Duplicate the 4-byte length prefix: [len][len][crc][type][payload].
-  std::vector<std::uint8_t> buf(clean.begin(), clean.begin() + 4);
-  buf.insert(buf.end(), clean.begin(), clean.end());
-  FrameDecoder decoder;
-  decoder.feed(buf.data(), buf.size());
-  WireFrame f;
-  const DecodeStatus st = decoder.next(f);
-  EXPECT_TRUE(st == DecodeStatus::kBadCrc || st == DecodeStatus::kBadLength ||
-              st == DecodeStatus::kBadType)
-      << decode_status_name(st);
+  ff::duplicated_length_prefix<WireProtocol>();
 }
-
 TEST(ServeWireFuzz, UnknownTypeWithValidCrcIsBadType) {
-  const std::uint8_t bogus = 42;  // in the gap between request/reply ranges
-  ASSERT_FALSE(msg_type_known(bogus));
-  util::Crc32 crc;
-  crc.add_bytes(&bogus, 1);
-  std::vector<std::uint8_t> buf;
-  const std::uint32_t length = 1;
-  const std::uint32_t c = crc.value();
-  for (const std::uint32_t v : {length, c}) {
-    buf.push_back(static_cast<std::uint8_t>(v));
-    buf.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf.push_back(static_cast<std::uint8_t>(v >> 24));
-  }
-  buf.push_back(bogus);
-  FrameDecoder decoder;
-  decoder.feed(buf.data(), buf.size());
-  WireFrame f;
-  EXPECT_EQ(decoder.next(f), DecodeStatus::kBadType);
+  ff::unknown_type_with_valid_crc<WireProtocol>();
 }
-
 TEST(ServeWireFuzz, EncodeEnforcesTheFrameCap) {
-  // The largest legal payload round-trips...
-  const std::string max_ok(kMaxFrameBytes - 1, 'a');
-  const auto buf = encode_frame(MsgType::kStatus, max_ok);
-  FrameDecoder decoder;
-  decoder.feed(buf.data(), buf.size());
-  WireFrame f;
-  ASSERT_EQ(decoder.next(f), DecodeStatus::kFrame);
-  EXPECT_EQ(f.payload.size(), max_ok.size());
-  // ...and one byte more fails loudly on the sending side instead of
-  // poisoning the peer's decoder with kBadLength.
-  const std::string too_big(kMaxFrameBytes, 'a');
-  EXPECT_THROW(encode_frame(MsgType::kStatus, too_big), WireError);
+  ff::encode_enforces_the_cap<WireProtocol>();
 }
-
 TEST(ServeWireFuzz, ProtocolErrorsPoisonTheStream) {
-  auto bad = encode_frame(MsgType::kPing, "{}");
-  bad[8] ^= 0xff;  // corrupt -> kBadCrc
-  FrameDecoder decoder;
-  decoder.feed(bad.data(), bad.size());
-  WireFrame f;
-  ASSERT_EQ(decoder.next(f), DecodeStatus::kBadCrc);
-  // Even a pristine frame afterwards cannot resynchronize the stream.
-  const auto good = encode_frame(MsgType::kPing, "{}");
-  decoder.feed(good.data(), good.size());
-  EXPECT_EQ(decoder.next(f), DecodeStatus::kBadCrc);
+  ff::errors_poison_the_stream<WireProtocol>();
 }
 
 // ====================================================================

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <cmath>
 #include <numeric>
@@ -10,6 +12,7 @@
 #include "fasda/util/cli.hpp"
 #include "fasda/util/rng.hpp"
 #include "fasda/util/thread_pool.hpp"
+#include "frame_codec_fuzz.hpp"
 
 namespace fasda::util {
 namespace {
@@ -314,3 +317,150 @@ TEST(FaultSpecDiagnostics, ValidateRejectsOutOfClusterIds) {
 
 }  // namespace
 }  // namespace fasda::util
+
+// ------------------------------------------- control-plane frames (frame.hpp)
+
+namespace fasda::frame_fuzz {
+namespace {
+
+template <class P>
+class FrameCodecFuzz : public ::testing::Test {};
+
+struct ProtocolName {
+  template <class P>
+  static std::string GetName(int) {
+    return Reader<P>::kName;
+  }
+};
+
+using Protocols = ::testing::Types<serve::WireProtocol, serve::JournalProtocol,
+                                   shard::ShardProtocol>;
+TYPED_TEST_SUITE(FrameCodecFuzz, Protocols, ProtocolName);
+
+TYPED_TEST(FrameCodecFuzz, RandomFramesRoundTrip) {
+  random_frames_round_trip<TypeParam>();
+}
+TYPED_TEST(FrameCodecFuzz, EveryTruncation) { every_truncation<TypeParam>(); }
+TYPED_TEST(FrameCodecFuzz, EverySingleBitFlip) {
+  every_single_bit_flip<TypeParam>();
+}
+TYPED_TEST(FrameCodecFuzz, ZeroAndOversizedLengths) {
+  zero_and_oversized_lengths<TypeParam>();
+}
+TYPED_TEST(FrameCodecFuzz, DuplicatedLengthPrefix) {
+  duplicated_length_prefix<TypeParam>();
+}
+TYPED_TEST(FrameCodecFuzz, UnknownTypeWithValidCrc) {
+  unknown_type_with_valid_crc<TypeParam>();
+}
+TYPED_TEST(FrameCodecFuzz, EncodeEnforcesTheCap) {
+  encode_enforces_the_cap<TypeParam>();
+}
+TYPED_TEST(FrameCodecFuzz, ErrorsPoisonTheStream) {
+  errors_poison_the_stream<TypeParam>();
+}
+TYPED_TEST(FrameCodecFuzz, DuplicatedFramesSurvive) {
+  duplicated_frames_survive<TypeParam>();
+}
+TYPED_TEST(FrameCodecFuzz, RandomGarbageSalvagesOnlyValidFrames) {
+  random_garbage_salvages_only_valid_frames<TypeParam>();
+}
+
+std::string hex(const Bytes& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+Bytes unhex(std::string_view text) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < text.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(text.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+// Bytes recorded from the three hand-written codecs this module replaced.
+// A mismatch means the frame format changed under every peer and every
+// state directory on disk.
+TEST(FrameGolden, EncodeReproducesRecordedBytes) {
+  const std::string payload = "{\"job\":7}";
+  EXPECT_EQ(hex(serve::encode_frame(serve::MsgType::kResult, payload)),
+            "0a000000b9cc40f7437b226a6f62223a377d");
+  EXPECT_EQ(hex(serve::encode_journal_record(serve::JournalRecord::kCompleted,
+                                             payload)),
+            "0a00000060d0268b047b226a6f62223a377d");
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  shard::Channel reader(fds[0]);
+  shard::Channel(fds[1]).send(shard::FrameType::kReport, payload);
+  Bytes sent(64);
+  const ssize_t n = ::recv(reader.fd(), sent.data(), sent.size(), 0);
+  ASSERT_GT(n, 0);
+  sent.resize(static_cast<std::size_t>(n));
+  EXPECT_EQ(hex(sent), "0a000000ed8b2d7a0b7b226a6f62223a377d");
+}
+
+// A journal holding one record of every type, as written before the
+// shared codec: today's recovery reads it clean with every payload intact.
+TEST(FrameGolden, RecordedJournalRecoversClean) {
+  const Bytes journal = unhex(
+      "91010000ad916ec8017b226a6f62223a312c2272657175657374223a7b2274656e616e74"
+      "223a2264656661756c74222c227072696f72697479223a302c227265706c69636173223a"
+      "312c227374657073223a342c2273616d706c65223a322c227370616365223a2233333322"
+      "2c227065725f63656c6c223a342c2273656564223a32343330312c2274656d7065726174"
+      "757265223a3330302c22666f7263656669656c64223a226e61222c22656e67696e65223a"
+      "2266756e6374696f6e616c222c226474223a322c226577616c64223a66616c73652c2274"
+      "687265616473223a312c22706573223a312c2273706573223a312c22776f726b65727322"
+      "3a312c2270726f635f776f726b657273223a302c226e616976655f7469636b223a66616c"
+      "73652c2262617463685f776f726b657273223a312c22737570657276697365223a66616c"
+      "73652c22636865636b706f696e745f6576657279223a302c226d61785f72657374617274"
+      "73223a332c22616c6c6f775f6465677261646564223a66616c73652c2272657475726e5f"
+      "7374617465223a747275657d7d0a000000a10762d0027b226a6f62223a317d1f00000090"
+      "fcf2e8037b226a6f62223a312c227265706c696361223a302c2273746570223a327d6100"
+      "0000c1bfb152047b226a6f62223a312c2274656e616e74223a2274222c226964656d706f"
+      "74656e6379223a22222c22726573756c74223a7b226a6f62223a312c226f7574636f6d65"
+      "223a226f6b222c2265786974223a302c227265706c69636173223a5b5d7d7d0a0000001b"
+      "4f9319057b226a6f62223a327d030000001c08b319067b7d");
+  ASSERT_EQ(journal.size(), 600u);
+  const serve::RecoveryReport report =
+      serve::scan_journal_bytes(journal.data(), journal.size());
+  EXPECT_EQ(report.tail, serve::JournalTail::kClean);
+  EXPECT_TRUE(report.clean_shutdown);
+  ASSERT_EQ(report.entries.size(), 6u);
+  Bytes replayed;
+  for (std::size_t i = 0; i < report.entries.size(); ++i) {
+    const serve::JournalEntry& e = report.entries[i];
+    EXPECT_EQ(static_cast<std::size_t>(e.type), i + 1);  // kAdmitted first
+    append(replayed, serve::encode_journal_record(e.type, e.payload));
+  }
+  EXPECT_EQ(replayed, journal);
+  EXPECT_EQ(report.entries[1].payload, "{\"job\":1}");
+  EXPECT_EQ(report.entries[5].payload, "{}");
+}
+
+// The shard's error policy: a damaged frame is a dead worker, reported as
+// the same TransportError a closed socket raises.
+TEST(ShardChannel, DamagedFrameThrowsTransportError) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  shard::Channel reader(fds[0]);
+  {
+    shard::Channel writer(fds[1]);
+    writer.send(shard::FrameType::kWake, "ok");
+    Bytes bad = encode<shard::ShardProtocol>(
+        static_cast<std::uint8_t>(shard::FrameType::kWake), "bad");
+    bad.back() ^= 1;
+    writer.send_raw(bad.data(), bad.size());
+  }
+  EXPECT_EQ(shard::recv_frame(reader).payload, "ok");
+  EXPECT_THROW(shard::recv_frame(reader), shard::TransportError);
+}
+
+}  // namespace
+}  // namespace fasda::frame_fuzz

@@ -34,10 +34,6 @@
 //                      --workers > 1. A worker process dying mid-run
 //                      surfaces as an unrecovered node failure (exit 3, or
 //                      a supervised restart under --supervise).
-//   --naive-tick       disable idle-cycle elision and tick every component
-//                      every cycle (DESIGN.md section 13); bitwise
-//                      identical results, slower wall clock. The
-//                      FASDA_NAIVE_TICK env var does the same.
 //   --faults SPEC      lossy-fabric model + ack/retransmit recovery
 //                      (DESIGN.md section 10). SPEC is a comma list:
 //                      drop=0.05,dup=0.02,reorder=0.02,corrupt=0.01,seed=7,
@@ -64,6 +60,10 @@
 //   --metrics-out FILE write the metrics-registry snapshot; a .prom
 //                      extension selects Prometheus text, else JSON
 //   --metrics-every N  rewrite --metrics-out every N samples (default 1)
+//
+// The cycle engine elides idle cycles (DESIGN.md section 13). To bisect a
+// suspected elision bug, set FASDA_NAIVE_TICK=1 in the environment: every
+// component then ticks every cycle, with bitwise-identical results.
 //
 // Exit codes: 0 = completed; 1 = usage/config error; 2 = unrecovered
 // degraded link; 3 = unrecovered node failure; 4 = completed, but in
@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
   spec.spes = static_cast<int>(cli.get_or("spes", 1L));
   spec.num_worker_threads = static_cast<int>(cli.get_or("workers", 1L));
   spec.proc_workers = static_cast<int>(cli.get_or("proc-workers", 0L));
-  spec.naive_tick = cli.has("naive-tick");
   if (auto faults = cli.get("faults")) {
     try {
       spec.faults = net::FaultPlan::parse(*faults);
