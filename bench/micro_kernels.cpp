@@ -7,10 +7,10 @@
 
 #include "fasda/fixed/fixed_point.hpp"
 #include "fasda/interp/interp_table.hpp"
+#include "fasda/md/datapath.hpp"
 #include "fasda/md/dataset.hpp"
 #include "fasda/md/functional_engine.hpp"
 #include "fasda/md/reference_engine.hpp"
-#include "fasda/pe/force_model.hpp"
 #include "fasda/util/rng.hpp"
 
 namespace {
@@ -48,8 +48,9 @@ void BM_FixedR2(benchmark::State& state) {
 BENCHMARK(BM_FixedR2);
 
 void BM_PairForce(benchmark::State& state) {
-  const pe::ForceModel model(md::ForceField::sodium(), 8.5,
-                             interp::InterpConfig{});
+  const md::Datapath datapath(md::ForceField::sodium(), 8.5,
+                              interp::InterpConfig{}, md::ForceTerms{}, 2.0,
+                              8.5);
   util::Xoshiro256 rng(3);
   std::vector<fixed::FixedVec3> pts(1024);
   for (auto& p : pts) {
@@ -59,8 +60,10 @@ void BM_PairForce(benchmark::State& state) {
   }
   std::size_t i = 0;
   for (auto _ : state) {
+    const fixed::FixedVec3& a = pts[i & 1023];
+    const fixed::FixedVec3& b = pts[(i + 13) & 1023];
     benchmark::DoNotOptimize(
-        model.pair_force(pts[i & 1023], 0, pts[(i + 13) & 1023], 0));
+        datapath.pair_force(fixed::r2_fixed(a, b), a, 0, b, 0));
     ++i;
   }
 }

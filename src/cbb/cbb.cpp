@@ -1,24 +1,8 @@
 #include "fasda/cbb/cbb.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace fasda::cbb {
-
-namespace {
-
-fixed::FixedCoord rebase(fixed::FixedCoord c, int dcells) {
-  return fixed::FixedCoord::from_raw(
-      c.raw() +
-      static_cast<std::uint32_t>(dcells * static_cast<int>(fixed::FixedCoord::kOne)));
-}
-
-fixed::FixedVec3 rebase(const fixed::FixedVec3& p, const geom::IVec3& rcid) {
-  return {rebase(p.x, rcid.x - 2), rebase(p.y, rcid.y - 2),
-          rebase(p.z, rcid.z - 2)};
-}
-
-}  // namespace
 
 FcProbe::Fn FcProbe::hook;
 
@@ -40,7 +24,9 @@ class Cbb::PosStation : public ring::Station<ring::PosToken> {
     auto& fifo = *cbb_->arrivals_[spe_];
     if (!fifo.can_push()) return false;
     pe::Reference ref;
-    ref.pos = rebase(t.offset, cbb_->map_.lcid_to_rcid(t.src_lcid, cbb_->lcell_));
+    ref.pos = md::rebase(
+        t.offset, cbb_->map_.lcid_to_rcid(t.src_lcid, cbb_->lcell_) -
+                      geom::IVec3{2, 2, 2});
     ref.elem = t.elem;
     ref.is_home = false;
     ref.src_lcid = t.src_lcid;
@@ -107,11 +93,11 @@ class Cbb::MuStation : public ring::Station<ring::MigrateToken> {
 
 // ---------------------------------------------------------------- lifecycle
 
-Cbb::Cbb(std::string name, const CbbConfig& config, const pe::ForceModel& model,
+Cbb::Cbb(std::string name, const CbbConfig& config, const md::Datapath& datapath,
          const idmap::ClusterMap& map, geom::IVec3 node, geom::IVec3 lcell)
     : Component(std::move(name)),
       config_(config),
-      model_(model),
+      datapath_(datapath),
       map_(map),
       node_(node),
       lcell_(lcell),
@@ -138,7 +124,7 @@ Cbb::Cbb(std::string name, const CbbConfig& config, const pe::ForceModel& model,
       const int fc_index = s * (config_.pes_per_spe + 1) + k;
       pes_.push_back(std::make_unique<pe::ProcessingElement>(
           Component::name() + "/pe" + std::to_string(s) + "." + std::to_string(k),
-          config_.pe, model_, &particles_, this, fc_index));
+          config_.pe, datapath_, &particles_, this, fc_index));
     }
   }
   mu_station_ = std::make_unique<MuStation>(this);
@@ -219,15 +205,11 @@ bool Cbb::force_quiescent() const {
   return true;
 }
 
-void Cbb::begin_motion_update(float dt_fs, double cell_size,
-                              const md::ForceField& ff) {
+void Cbb::begin_motion_update() {
   phase_ = Phase::kMotionUpdate;
   mu_cursor_ = 0;
   mu_limit_ = particles_.size();
   migrated_.assign(particles_.size(), false);
-  mu_dt_ = dt_fs;
-  mu_inv_cell_ = 1.0 / cell_size;
-  mu_ff_ = &ff;
 }
 
 bool Cbb::mu_done() const {
@@ -331,33 +313,14 @@ void Cbb::tick_motion_update() {
     return;
   }
   pe::CellParticle& p = particles_[mu_cursor_];
-  const float inv_mass =
-      static_cast<float>(1.0 / mu_ff_->element(p.elem).mass);
-  // Leapfrog kick with the adder-tree-combined force, then drift with the
-  // delta quantized straight onto the fixed-point grid (§4.2).
-  const geom::Vec3f vel =
-      p.vel + forces_[mu_cursor_].to_vec3f() * (mu_dt_ * inv_mass);
-
-  geom::IVec3 shift{};
-  fixed::FixedVec3 pos = p.pos;
-  auto advance = [&](fixed::FixedCoord& c, float v, int& shift_c) {
-    const double delta_cells =
-        static_cast<double>(v) * static_cast<double>(mu_dt_) * mu_inv_cell_;
-    const auto delta_q = static_cast<std::int64_t>(
-        std::llround(delta_cells * fixed::FixedCoord::kOne));
-    std::int64_t raw = static_cast<std::int64_t>(c.raw()) + delta_q;
-    shift_c = static_cast<int>(raw >> fixed::FixedCoord::kFracBits) - 2;
-    raw -= static_cast<std::int64_t>(shift_c) *
-           static_cast<std::int64_t>(fixed::FixedCoord::kOne);
-    c = fixed::FixedCoord::from_raw(static_cast<std::uint32_t>(raw));
-  };
-  advance(pos.x, vel.x, shift.x);
-  advance(pos.y, vel.y, shift.y);
-  advance(pos.z, vel.z, shift.z);
-
-  if (shift == geom::IVec3{0, 0, 0}) {
-    p.vel = vel;
-    p.pos = pos;
+  // Leapfrog kick with the adder-tree-combined force, then the quantized
+  // drift (§4.2). The particle itself changes only once the update
+  // commits, so a migration stalled on the MU ring retries next cycle.
+  const md::Motion m = datapath_.motion_update(
+      p.pos, p.vel, forces_[mu_cursor_].to_vec3f(), p.elem);
+  if (m.shift == geom::IVec3{0, 0, 0}) {
+    p.vel = m.vel;
+    p.pos = m.pos;
     ++mu_cursor_;
     mu_util_.record(1, 1, true);
     return;
@@ -369,9 +332,9 @@ void Cbb::tick_motion_update() {
     return;
   }
   ring::MigrateToken token;
-  token.dest_lcid = map_.grid().wrap(lcell_ + shift);
-  token.offset = pos;
-  token.vel = vel;
+  token.dest_lcid = map_.grid().wrap(lcell_ + m.shift);
+  token.offset = m.pos;
+  token.vel = m.vel;
   token.elem = p.elem;
   token.particle_id = p.id;
   mu_inject_->push(token);

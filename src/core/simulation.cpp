@@ -34,6 +34,8 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
     : ff_(std::move(ff)),
       config_(config),
       map_(config.node_dims, config.cells_per_node),
+      datapath_(ff_, config.cutoff, config.table, config.terms, config.dt,
+                config.cutoff),
       num_particles_(state.size()) {
   if (state.cell_dims != map_.global_dims()) {
     throw std::invalid_argument(
@@ -94,8 +96,6 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
   }
   scheduler_->set_tick_mode(sim::resolve_tick_mode(config.tick_mode));
 
-  model_ = std::make_unique<pe::ForceModel>(ff_, config.cutoff, config.table,
-                                            config.terms);
   pos_fabric_ = std::make_unique<net::Fabric<net::PosRecord>>(config.channel);
   frc_fabric_ = std::make_unique<net::Fabric<net::FrcRecord>>(config.channel);
   mig_fabric_ = std::make_unique<net::Fabric<net::MigRecord>>(config.channel);
@@ -146,7 +146,7 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
       per_node.node_faults = config_.faults->faults_for_node(id);
     }
     nodes_.push_back(std::make_unique<fpga::FpgaNode>(
-        id, per_node, *model_, map_, pos_fabric_.get(), frc_fabric_.get(),
+        id, per_node, datapath_, map_, pos_fabric_.get(), frc_fabric_.get(),
         mig_fabric_.get(), barrier_.get()));
     nodes_.back()->register_with(*scheduler_);
   }
@@ -168,17 +168,12 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
 
   // Load particles into the owning CBBs' caches.
   const geom::CellGrid grid = state.grid();
-  const double inv_cell = 1.0 / state.cell_size;
   for (std::size_t i = 0; i < state.size(); ++i) {
-    const geom::Vec3d p = grid.wrap_position(state.positions[i]);
-    const geom::IVec3 gcell = grid.cell_of(p);
-    const geom::IVec3 node = map_.node_of_cell(gcell);
-    const geom::IVec3 lcell = map_.local_cell(gcell);
+    const md::CellPosition cp = md::encode(grid, state.positions[i]);
+    const geom::IVec3 node = map_.node_of_cell(cp.cell);
+    const geom::IVec3 lcell = map_.local_cell(cp.cell);
     pe::CellParticle particle;
-    particle.pos = {
-        fixed::FixedCoord::from_cell_offset(2, p.x * inv_cell - gcell.x),
-        fixed::FixedCoord::from_cell_offset(2, p.y * inv_cell - gcell.y),
-        fixed::FixedCoord::from_cell_offset(2, p.z * inv_cell - gcell.z)};
+    particle.pos = cp.pos;
     particle.vel = state.velocities[i].cast<float>();
     particle.elem = state.elements[i];
     particle.id = static_cast<std::uint32_t>(i);
@@ -194,9 +189,6 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
   refs.mig = mig_fabric_.get();
   refs.nodes = &nodes_;
   refs.obs = config_.obs;
-  refs.ff = &ff_;
-  refs.cutoff = config.cutoff;
-  refs.dt_fs = static_cast<float>(config.dt);
   if (config.proc_workers > 0) {
     refs.barrier = static_cast<shard::SplitBarrier*>(barrier_.get());
     transport_ = shard::make_proc_transport(refs, config.proc_workers);
@@ -357,11 +349,9 @@ md::SystemState Simulation::state() const {
   for (const auto& node : nodes_) {
     for (int c = 0; c < node->num_cbbs(); ++c) {
       const cbb::Cbb& block = node->cbb_by_index(c);
-      const geom::IVec3 gcell = block.global_cell();
       for (const pe::CellParticle& p : block.particles()) {
-        out.positions[p.id] = {(gcell.x + p.pos.x.frac()) * config_.cutoff,
-                               (gcell.y + p.pos.y.frac()) * config_.cutoff,
-                               (gcell.z + p.pos.z.frac()) * config_.cutoff};
+        out.positions[p.id] =
+            md::decode(block.global_cell(), p.pos, config_.cutoff);
         out.velocities[p.id] = p.vel.cast<double>();
         out.elements[p.id] = p.elem;
       }

@@ -130,7 +130,7 @@ class FpgaNode::MigExStation : public ring::Station<ring::MigrateToken> {
 // ------------------------------------------------------------ construction
 
 FpgaNode::FpgaNode(NodeId id, const NodeConfig& config,
-                   const pe::ForceModel& model, const idmap::ClusterMap& map,
+                   const md::Datapath& datapath, const idmap::ClusterMap& map,
                    net::Fabric<net::PosRecord>* pos_fabric,
                    net::Fabric<net::FrcRecord>* frc_fabric,
                    net::Fabric<net::MigRecord>* mig_fabric,
@@ -176,7 +176,7 @@ FpgaNode::FpgaNode(NodeId id, const NodeConfig& config,
         const geom::IVec3 lcell{x, y, z};
         auto block = std::make_unique<cbb::Cbb>(
             node_name(id) + "/cbb" + std::to_string(cbbs_.size()), config_.cbb,
-            model, map_, node_coords_, lcell);
+            datapath, map_, node_coords_, lcell);
         const geom::IVec3 gcell = map_.global_cell(node_coords_, lcell);
         auto dests = map_.remote_destinations(gcell);
         if (!dests.empty()) {
@@ -287,13 +287,9 @@ const cbb::Cbb& FpgaNode::cbb_at(const geom::IVec3& lcell) const {
   return *cbbs_[(lcell.x * cpn.y + lcell.y) * cpn.z + lcell.z];
 }
 
-void FpgaNode::start(int iterations, float dt_fs, double cell_size,
-                     const md::ForceField& ff) {
+void FpgaNode::start(int iterations) {
   target_iterations_ = iterations;
   iterations_completed_ = 0;
-  dt_fs_ = dt_fs;
-  cell_size_ = cell_size;
-  ff_ = &ff;
   state_ = iterations > 0 ? State::kIdle : State::kDone;
   armed_ = iterations > 0;
 }
@@ -648,7 +644,7 @@ void FpgaNode::enter_force_phase(sim::Cycle now) {
 }
 
 void FpgaNode::enter_motion_update(sim::Cycle now) {
-  for (auto& c : cbbs_) c->begin_motion_update(dt_fs_, cell_size_, *ff_);
+  for (auto& c : cbbs_) c->begin_motion_update();
   wake_cbbs(now);
   set_state(State::kMotionUpdate, now);
 }

@@ -63,7 +63,7 @@ struct FcProbe {
 
 class Cbb : public sim::Component, public pe::ForceSink {
  public:
-  Cbb(std::string name, const CbbConfig& config, const pe::ForceModel& model,
+  Cbb(std::string name, const CbbConfig& config, const md::Datapath& datapath,
       const idmap::ClusterMap& map, geom::IVec3 node, geom::IVec3 lcell);
   ~Cbb() override;
 
@@ -105,8 +105,9 @@ class Cbb : public sim::Component, public pe::ForceSink {
   bool migration_intake_empty() const {
     return mu_arrivals_->total_occupancy() == 0;
   }
-  void begin_motion_update(float dt_fs, double cell_size,
-                           const md::ForceField& ff);
+  /// Starts the MU pass over the home particles, with the constants the
+  /// Datapath was built with.
+  void begin_motion_update();
   bool mu_done() const;
 
   void tick(sim::Cycle now) override;
@@ -147,7 +148,7 @@ class Cbb : public sim::Component, public pe::ForceSink {
   }
 
   CbbConfig config_;
-  const pe::ForceModel& model_;
+  const md::Datapath& datapath_;
   const idmap::ClusterMap& map_;
   geom::IVec3 node_;
   geom::IVec3 lcell_;
@@ -180,9 +181,6 @@ class Cbb : public sim::Component, public pe::ForceSink {
   // Motion update state.
   std::size_t mu_cursor_ = 0;
   std::size_t mu_limit_ = 0;
-  float mu_dt_ = 0.0f;
-  double mu_inv_cell_ = 0.0;
-  const md::ForceField* mu_ff_ = nullptr;
   sim::UtilCounter mu_util_;
 };
 

@@ -191,7 +191,9 @@ class Simulation {
   md::ForceField ff_;
   ClusterConfig config_;
   idmap::ClusterMap map_;
-  std::unique_ptr<pe::ForceModel> model_;
+  /// Pair-force and motion-update kernels shared by every PE and CBB; the
+  /// MU runs on a cell edge of `cutoff`, as does state() export.
+  md::Datapath datapath_;
   std::unique_ptr<net::Fabric<net::PosRecord>> pos_fabric_;
   std::unique_ptr<net::Fabric<net::FrcRecord>> frc_fabric_;
   std::unique_ptr<net::Fabric<net::MigRecord>> mig_fabric_;

@@ -73,7 +73,7 @@ class Gated : public sim::Component {
 
 class FpgaNode : public sim::Component {
  public:
-  FpgaNode(NodeId id, const NodeConfig& config, const pe::ForceModel& model,
+  FpgaNode(NodeId id, const NodeConfig& config, const md::Datapath& datapath,
            const idmap::ClusterMap& map, net::Fabric<net::PosRecord>* pos_fabric,
            net::Fabric<net::FrcRecord>* frc_fabric,
            net::Fabric<net::MigRecord>* mig_fabric,
@@ -95,8 +95,7 @@ class FpgaNode : public sim::Component {
 
   /// Arms the node for `iterations` timesteps. Cell contents must have been
   /// loaded into the CBBs first.
-  void start(int iterations, float dt_fs, double cell_size,
-             const md::ForceField& ff);
+  void start(int iterations);
 
   bool done() const { return state_ == State::kDone; }
   std::uint64_t iterations_completed() const { return iterations_completed_; }
@@ -255,10 +254,6 @@ class FpgaNode : public sim::Component {
   int target_iterations_ = 0;
   std::uint64_t iterations_completed_ = 0;
   std::vector<sim::Cycle> force_phase_starts_;
-
-  float dt_fs_ = 0.0f;
-  double cell_size_ = 0.0;
-  const md::ForceField* ff_ = nullptr;
 
   std::vector<std::unique_ptr<Gated>> gates_;
   /// The scheduler-registered handle of each CBB (the Gated wrapper when

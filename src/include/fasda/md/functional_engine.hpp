@@ -17,8 +17,9 @@
 // the same invariant the hardware gets from Newton's third law — while
 // keeping the cell loop embarrassingly parallel and deterministic.
 //
-// The cycle-level simulator (src/core) produces forces that match this
-// engine pair-for-pair; tests cross-validate the two.
+// Both this engine and the cycle-level simulator (src/core) run the same
+// md::Datapath kernels for the filter, the pair force, the RCID rebase,
+// the Q2.28 encoding and the motion update; tests cross-validate the two.
 
 #include <cstdint>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "fasda/fixed/fixed_point.hpp"
 #include "fasda/geom/cell_grid.hpp"
 #include "fasda/interp/interp_table.hpp"
+#include "fasda/md/datapath.hpp"
 #include "fasda/md/system_state.hpp"
 #include "fasda/util/thread_pool.hpp"
 
@@ -84,6 +86,14 @@ class FunctionalEngine {
     std::uint32_t id = 0;  ///< original particle index
   };
 
+  /// Full-shell walk of one cell: calls fn(a, j_pos, j_elem, owned) for
+  /// every home slot index `a` and every other particle j of the home cell
+  /// and its 26 neighbours, j rebased into the home frame exactly as the
+  /// RCID conversion does on arrival (§4.2). `owned` is true for one of
+  /// the two orderings of each unordered pair.
+  template <class Fn>
+  void for_each_shell_pair(std::size_t cell, Fn&& fn) const;
+
   /// Returns the number of accepted unordered pairs owned by this cell.
   std::size_t evaluate_cell_forces(std::size_t cell);
   void motion_update();
@@ -91,15 +101,11 @@ class FunctionalEngine {
   ForceField ff_;
   geom::CellGrid grid_;
   FunctionalConfig config_;
-  interp::InterpTable table14_;
-  interp::InterpTable table8_;
+  Datapath datapath_;
   interp::InterpTable table12_;
   interp::InterpTable table6_;
-  interp::InterpTable table_ew_force_;
   interp::InterpTable table_ew_energy_;
-  std::vector<PairForceCoeffs> force_coeffs_;
   std::vector<PairEnergyCoeffs> energy_coeffs_;
-  std::vector<float> ewald_force_coeffs_;
   std::vector<float> ewald_energy_coeffs_;
   std::size_t num_elements_;
   std::size_t num_particles_;

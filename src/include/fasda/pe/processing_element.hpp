@@ -27,7 +27,7 @@
 #include <functional>
 #include <vector>
 
-#include "fasda/pe/force_model.hpp"
+#include "fasda/md/datapath.hpp"
 #include "fasda/ring/tokens.hpp"
 #include "fasda/sim/kernel.hpp"
 
@@ -91,7 +91,7 @@ class ProcessingElement : public sim::Component {
   /// `home` is the cell's particle array (the PC/HPC view this PE streams);
   /// it must outlive the PE and only change between force phases.
   ProcessingElement(std::string name, const PEConfig& config,
-                    const ForceModel& model,
+                    const md::Datapath& datapath,
                     const std::vector<CellParticle>* home, ForceSink* sink,
                     int fc_index);
 
@@ -157,7 +157,7 @@ class ProcessingElement : public sim::Component {
   void reload_filters();
 
   PEConfig config_;
-  const ForceModel& model_;
+  const md::Datapath& datapath_;
   const std::vector<CellParticle>* home_;
   ForceSink* sink_;
   int fc_index_;

@@ -66,9 +66,6 @@ struct ClusterRefs {
   SplitBarrier* barrier = nullptr;
   const std::vector<std::unique_ptr<fpga::FpgaNode>>* nodes = nullptr;
   obs::Hub* obs = nullptr;
-  const md::ForceField* ff = nullptr;
-  double cutoff = 0.0;
-  float dt_fs = 0.0f;
 };
 
 /// One node's health sample, shipped worker→parent after every state

@@ -1,7 +1,9 @@
 #pragma once
 // Tiny flag parser shared by benches and examples: --key value / --key=value
-// / bare --switch. Unknown flags are collected so harnesses can forward them.
+// / bare --switch. Every flag is collected; a tool that rejects the ones it
+// does not read asks first_unknown().
 
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -26,8 +28,15 @@ class Cli {
 
   std::optional<std::string> get(std::string_view name) const;
   std::string get_or(std::string_view name, std::string_view fallback) const;
+  /// Numeric values must parse whole: an empty value, trailing characters
+  /// ("2fs") or overflow throw std::invalid_argument naming the flag.
   long get_or(std::string_view name, long fallback) const;
   double get_or(std::string_view name, double fallback) const;
+
+  /// The first flag not in `known` ("--name"), else the first positional
+  /// argument, else nullopt.
+  std::optional<std::string> first_unknown(
+      std::initializer_list<std::string_view> known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

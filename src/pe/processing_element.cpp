@@ -6,12 +6,12 @@ PairProbe::Fn PairProbe::hook;
 RetireProbe::Fn RetireProbe::hook;
 
 ProcessingElement::ProcessingElement(std::string name, const PEConfig& config,
-                                     const ForceModel& model,
+                                     const md::Datapath& datapath,
                                      const std::vector<CellParticle>* home,
                                      ForceSink* sink, int fc_index)
     : Component(std::move(name)),
       config_(config),
-      model_(model),
+      datapath_(datapath),
       home_(home),
       sink_(sink),
       fc_index_(fc_index),
@@ -89,7 +89,9 @@ void ProcessingElement::issue_pair(sim::Cycle now) {
   const CellParticle& home = (*home_)[c.home_slot];
   const RefState& r = pool_[c.ref];
   PipelineEntry e;
-  e.force_on_home = model_.pair_force(home.pos, home.elem, r.ref.pos, r.ref.elem);
+  e.force_on_home = datapath_.pair_force(fixed::r2_fixed(home.pos, r.ref.pos),
+                                      home.pos, home.elem, r.ref.pos,
+                                      r.ref.elem);
   e.home_slot = c.home_slot;
   e.ref = c.ref;
   e.completes_at = now + static_cast<sim::Cycle>(config_.pipeline_latency);
@@ -115,7 +117,7 @@ void ProcessingElement::stream_and_filter() {
   for (std::size_t f = 0; f < loaded; ++f) {
     if (si < filter_min_stream_[f]) continue;
     const std::uint64_t r2q = fixed::r2_fixed(filter_pos_[f], home.pos);
-    if (model_.filter(r2q)) {
+    if (datapath_.filter(r2q)) {
       // `pending` counts from acceptance, not pipeline issue: a reference
       // must not retire while accepted pairs still wait in the buffer.
       RefState& r = pool_[filters_[f]];

@@ -29,7 +29,7 @@ class InProcTransport final : public ShardTransport {
     const auto& nodes = *r_.nodes;
     const sim::Cycle start = r_.scheduler->cycle();
     for (const auto& node : nodes) {
-      node->start(iterations, r_.dt_fs, r_.cutoff, *r_.ff);
+      node->start(iterations);
     }
     const sim::Cycle budget =
         start + limits.max_cycles_per_iteration *

@@ -376,8 +376,7 @@ ByteWriter fold_payload(const WorkerState& ws) {
           const int iterations = static_cast<int>(r.u32());
           if (!r.done()) throw TransportError("bad kStart payload");
           for (int i = ws.lo; i < ws.hi; ++i) {
-            (*ws.r.nodes)[static_cast<std::size_t>(i)]->start(
-                iterations, ws.r.dt_fs, ws.r.cutoff, *ws.r.ff);
+            (*ws.r.nodes)[static_cast<std::size_t>(i)]->start(iterations);
           }
           if (!ws.naive) sched.driver_begin_run();
           ws.chan.send(FrameType::kStatus, owned_statuses(ws).view());

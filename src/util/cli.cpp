@@ -1,5 +1,7 @@
 #include "fasda/util/cli.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -88,14 +90,47 @@ std::string Cli::get_or(std::string_view name, std::string_view fallback) const 
   return v ? *v : std::string(fallback);
 }
 
+namespace {
+
+/// Runs a strtol/strtod-style parser over a flag's whole value; throws
+/// when it consumes no digits, leaves characters over or overflows.
+template <class T, class Parse>
+T parse_number(std::string_view name, const std::string& value, Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  const T v = parse(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + std::string(name) +
+                                ": not a number: '" + value + "'");
+  }
+  return v;
+}
+
+}  // namespace
+
 long Cli::get_or(std::string_view name, long fallback) const {
   auto v = get(name);
-  return v && !v->empty() ? std::strtol(v->c_str(), nullptr, 10) : fallback;
+  if (!v) return fallback;
+  return parse_number<long>(name, *v, [](const char* s, char** end) {
+    return std::strtol(s, end, 10);
+  });
 }
 
 double Cli::get_or(std::string_view name, double fallback) const {
   auto v = get(name);
-  return v && !v->empty() ? std::strtod(v->c_str(), nullptr) : fallback;
+  if (!v) return fallback;
+  return parse_number<double>(name, *v, std::strtod);
+}
+
+std::optional<std::string> Cli::first_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [key, value] : flags_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return "--" + key;
+    }
+  }
+  if (!positional_.empty()) return positional_.front();
+  return std::nullopt;
 }
 
 }  // namespace fasda::util

@@ -12,7 +12,7 @@ struct CbbHarness {
   explicit CbbHarness(const CbbConfig& config = CbbConfig{},
                       geom::IVec3 lcell = {1, 1, 1})
       : ff(md::ForceField::sodium()),
-        model(ff, 8.5, interp::InterpConfig{}),
+        model(ff, 8.5, interp::InterpConfig{}, md::ForceTerms{}, 2.0, 8.5),
         map({1, 1, 1}, {3, 3, 3}),
         block("cbb", config, model, map, {0, 0, 0}, lcell) {
     spes_ = config.spes;
@@ -59,7 +59,7 @@ struct CbbHarness {
   std::vector<ring::MigrateToken> drained_mu;
 
   md::ForceField ff;
-  pe::ForceModel model;
+  md::Datapath model;
   idmap::ClusterMap map;
   Cbb block;
   sim::Scheduler scheduler;
@@ -101,7 +101,7 @@ TEST(Cbb, MotionUpdateIntegratesVelocity) {
   h.block.begin_force_phase();
   for (int i = 0; i < 5000 && !h.block.force_quiescent(); ++i) h.run(1, true);
   const auto before = h.block.particles();
-  h.block.begin_motion_update(2.0f, 8.5, h.ff);
+  h.block.begin_motion_update();
   for (int i = 0; i < 200 && !h.block.mu_done(); ++i) h.run(1);
   ASSERT_TRUE(h.block.mu_done());
   const auto& after = h.block.particles();
@@ -125,7 +125,7 @@ TEST(Cbb, MigrationEmitsTokenAndRemovesParticle) {
   h.block.particles().push_back(p);
   h.block.begin_force_phase();
   for (int i = 0; i < 2000 && !h.block.force_quiescent(); ++i) h.run(1, true);
-  h.block.begin_motion_update(2.0f, 8.5, h.ff);
+  h.block.begin_motion_update();
   for (int i = 0; i < 100 && !h.block.mu_done(); ++i) h.run(1, true);
   ASSERT_TRUE(h.block.mu_done());
   // The harness drained the MU ring token: it targets the +x neighbour and
@@ -206,7 +206,8 @@ TEST(Cbb, RemoteOfferFiresForBoundaryCells) {
   // In a 2x2x2-node cluster every cell of a 2x2x2 block borders other
   // FPGAs, so each injected position is offered to the P2R chain.
   md::ForceField ff = md::ForceField::sodium();
-  pe::ForceModel model(ff, 8.5, interp::InterpConfig{});
+  md::Datapath model(ff, 8.5, interp::InterpConfig{}, md::ForceTerms{}, 2.0,
+                     8.5);
   idmap::ClusterMap map({2, 2, 2}, {2, 2, 2});
   Cbb block("cbb", CbbConfig{}, model, map, {0, 0, 0}, {1, 1, 1});
   int offers = 0;

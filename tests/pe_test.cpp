@@ -37,7 +37,7 @@ struct PeHarness {
   PeHarness(int num_home, std::uint64_t seed = 11,
             const PEConfig& config = PEConfig{})
       : ff(md::ForceField::sodium()),
-        model(ff, 8.5, interp::InterpConfig{}),
+        model(ff, 8.5, interp::InterpConfig{}, md::ForceTerms{}, 2.0, 8.5),
         home(),
         sink(num_home),
         pe("pe", config, model, &home, &sink, 0),
@@ -65,7 +65,7 @@ struct PeHarness {
   }
 
   md::ForceField ff;
-  ForceModel model;
+  md::Datapath model;
   std::vector<CellParticle> home;
   CaptureSink sink;
   ProcessingElement pe;
@@ -96,7 +96,9 @@ TEST(ProcessingElement, HomePairsMatchAnalyticForces) {
   for (std::size_t i = 0; i < h.home.size(); ++i) {
     for (std::size_t j = i + 1; j < h.home.size(); ++j) {
       if (!h.model.filter(fixed::r2_fixed(h.home[i].pos, h.home[j].pos))) continue;
-      const geom::Vec3f f = h.model.pair_force(h.home[j].pos, 0, h.home[i].pos, 0);
+      const geom::Vec3f f = h.model.pair_force(
+          fixed::r2_fixed(h.home[j].pos, h.home[i].pos), h.home[j].pos, 0,
+          h.home[i].pos, 0);
       expected[j] += f;
       expected[i] -= f;
     }
@@ -135,7 +137,8 @@ TEST(ProcessingElement, NeighborRefReturnsNegatedAccumulatedForce) {
   bool any = false;
   for (const auto& p : h.home) {
     if (!h.model.filter(fixed::r2_fixed(ref.pos, p.pos))) continue;
-    expected_on_ref -= h.model.pair_force(p.pos, 0, ref.pos, 0);
+    expected_on_ref -=
+        h.model.pair_force(fixed::r2_fixed(p.pos, ref.pos), p.pos, 0, ref.pos, 0);
     any = true;
   }
   ASSERT_TRUE(any) << "test fixture should produce at least one valid pair";

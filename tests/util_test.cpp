@@ -204,6 +204,57 @@ TEST(Cli, ParsesDoubles) {
   EXPECT_DOUBLE_EQ(cli.get_or("y", 1.25), 1.25);
 }
 
+/// The std::invalid_argument message of get_or(name, fallback), or "" if
+/// it parsed.
+template <class T>
+std::string number_error(std::vector<const char*> args, const char* name,
+                         T fallback) {
+  args.insert(args.begin(), "prog");
+  const Cli cli(static_cast<int>(args.size()), const_cast<char**>(args.data()));
+  try {
+    cli.get_or(name, fallback);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, RejectsMalformedNumbersNamingTheFlag) {
+  // No digits, trailing characters, an empty value and overflow all throw;
+  // before, "--steps abc" read 0 and "--dt 2fs" read 2.
+  for (const auto& args : std::vector<std::vector<const char*>>{
+           {"--steps", "abc"}, {"--steps", "10x"}, {"--steps=-"},
+           {"--steps"}, {"--steps", "99999999999999999999999"},
+           {"--steps", "1.5"}}) {
+    const std::string err = number_error(args, "steps", 3L);
+    EXPECT_NE(err.find("--steps"), std::string::npos) << args[0] << ": " << err;
+  }
+  for (const auto& args : std::vector<std::vector<const char*>>{
+           {"--dt", "2fs"}, {"--dt", "fs"}, {"--dt="}, {"--dt", "1e999"}}) {
+    const std::string err = number_error(args, "dt", 2.0);
+    EXPECT_NE(err.find("--dt"), std::string::npos) << args[0] << ": " << err;
+  }
+  // Well-formed values still parse, including signs and exponents.
+  EXPECT_EQ(number_error({"--steps=-4"}, "steps", 3L), "");
+  EXPECT_EQ(number_error({"--dt", "2.5e-1"}, "dt", 2.0), "");
+  const char* argv[] = {"prog", "--steps=-4", "--dt", "2.5e-1"};
+  const Cli cli(4, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_or("steps", 3L), -4);
+  EXPECT_DOUBLE_EQ(cli.get_or("dt", 2.0), 0.25);
+}
+
+TEST(Cli, FirstUnknownNamesTheFirstUnreadArgument) {
+  const char* argv[] = {"prog", "--steps", "10", "--naive-tick", "--step", "3"};
+  const Cli cli(6, const_cast<char**>(argv));
+  EXPECT_EQ(cli.first_unknown({"steps", "naive-tick", "step"}), std::nullopt);
+  EXPECT_EQ(cli.first_unknown({"steps", "step"}), "--naive-tick");
+  EXPECT_EQ(cli.first_unknown({"steps", "naive-tick"}), "--step");
+
+  const char* stray[] = {"prog", "--steps", "10", "extra"};
+  const Cli with_positional(4, const_cast<char**>(stray));
+  EXPECT_EQ(with_positional.first_unknown({"steps"}), "extra");
+}
+
 TEST(ParseDims, ThreeDigitShorthand) {
   EXPECT_EQ(parse_dims("444"), (geom::IVec3{4, 4, 4}));
   EXPECT_EQ(parse_dims("123"), (geom::IVec3{1, 2, 3}));

@@ -65,13 +65,15 @@
 // suspected elision bug, set FASDA_NAIVE_TICK=1 in the environment: every
 // component then ticks every cycle, with bitwise-identical results.
 //
-// Exit codes: 0 = completed; 1 = usage/config error; 2 = unrecovered
+// Exit codes: 0 = completed; 1 = usage/config error (an unknown flag, a
+// malformed number or an unknown --forcefield included); 2 = unrecovered
 // degraded link; 3 = unrecovered node failure; 4 = completed, but in
 // degraded (re-sharded) mode after a permanent node death.
 
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "fasda/engine/batch_runner.hpp"
@@ -115,38 +117,34 @@ void print_incidents(const fasda::supervisor::RunReport& report) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
-
   if (auto level = cli.get("log-level")) {
-    try {
-      util::set_log_level(util::parse_log_level(*level));
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
+    util::set_log_level(util::parse_log_level(*level));
   }
+  // A bare switch followed by a word would take it as its value under the
+  // --key value grammar; refuse that instead of dropping the word.
+  auto has_switch = [&](const std::string& name) {
+    const auto v = cli.get(name);
+    if (v && !v->empty()) {
+      throw std::invalid_argument("--" + name + " takes no value, got '" +
+                                  *v + "'");
+    }
+    return v.has_value();
+  };
 
   engine::EngineSpec spec;
   spec.engine = cli.get_or("engine", "functional");
   spec.dt = cli.get_or("dt", 2.0);
   spec.threads = static_cast<std::size_t>(cli.get_or("threads", 1L));
-  spec.terms.ewald_real = cli.has("ewald");
+  spec.terms.ewald_real = has_switch("ewald");
   if (auto cells = cli.get("cells")) spec.cells_per_node = util::parse_dims(*cells);
   spec.pes_per_spe = static_cast<int>(cli.get_or("pes", 1L));
   spec.spes = static_cast<int>(cli.get_or("spes", 1L));
   spec.num_worker_threads = static_cast<int>(cli.get_or("workers", 1L));
   spec.proc_workers = static_cast<int>(cli.get_or("proc-workers", 0L));
   if (auto faults = cli.get("faults")) {
-    try {
-      spec.faults = net::FaultPlan::parse(*faults);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
+    spec.faults = net::FaultPlan::parse(*faults);
   }
 
   const geom::IVec3 space = util::parse_dims(cli.get_or("space", "333"));
@@ -154,7 +152,10 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(cli.get_or("steps", 10L));
   const int sample = static_cast<int>(cli.get_or("sample", 10L));
   const std::string ff_name = cli.get_or("forcefield", "na");
-
+  if (ff_name != "na" && ff_name != "nacl") {
+    throw std::invalid_argument("--forcefield: unknown force field '" +
+                                ff_name + "' (na | nacl)");
+  }
   const md::ForceField ff = ff_name == "nacl" ? md::ForceField::sodium_chloride()
                                               : md::ForceField::sodium();
 
@@ -220,26 +221,20 @@ int main(int argc, char** argv) {
     observers.push_back(&metrics.emplace(hub, *metrics_out, metrics_every));
   }
 
-  if (cli.has("supervise")) {
+  if (has_switch("supervise")) {
     supervisor::SupervisorConfig scfg;
     scfg.checkpoint_every =
         static_cast<int>(cli.get_or("checkpoint-every", static_cast<long>(sample)));
     scfg.max_restarts = static_cast<int>(cli.get_or("max-restarts", 3L));
-    scfg.allow_degraded = cli.has("allow-degraded");
+    scfg.allow_degraded = has_switch("allow-degraded");
 
     std::printf("fasda_md: %s engine (supervised), %zu particles (%dx%dx%d "
                 "cells), %d steps\n",
                 spec.engine.c_str(), state.size(), space.x, space.y, space.z,
                 steps);
 
-    supervisor::RunReport report;
-    try {
-      supervisor::Supervisor sup(state, ff, spec, scfg);
-      report = sup.run(steps, observers);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
+    supervisor::Supervisor sup(state, ff, spec, scfg);
+    const supervisor::RunReport report = sup.run(steps, observers);
     print_incidents(report);
     flush_obs();
     if (!report.completed) {
@@ -262,13 +257,8 @@ int main(int argc, char** argv) {
     return report.degraded ? 4 : 0;
   }
 
-  std::unique_ptr<engine::Engine> eng;
-  try {
-    eng = engine::Registry::instance().create(state, ff, spec);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+  const std::unique_ptr<engine::Engine> eng =
+      engine::Registry::instance().create(state, ff, spec);
 
   std::printf("fasda_md: %s engine, %zu particles (%dx%dx%d cells), %d steps\n",
               eng->name().c_str(), state.size(), space.x, space.y, space.z,
@@ -338,4 +328,28 @@ int main(int argc, char** argv) {
     std::printf("checkpoint: %s\n", path->c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const fasda::util::Cli cli(argc, argv);
+  // Every flag this driver reads; anything else (a typo, a retired flag) is
+  // an error rather than a silently ignored default.
+  if (const auto bad = cli.first_unknown(
+          {"log-level", "engine", "dt", "threads", "ewald", "cells", "pes",
+           "spes", "workers", "proc-workers", "faults", "space", "per-cell",
+           "steps", "sample", "forcefield", "restart", "seed", "temperature",
+           "trace-out", "metrics-out", "metrics-every", "xyz", "checkpoint",
+           "supervise", "checkpoint-every", "max-restarts",
+           "allow-degraded"})) {
+    std::fprintf(stderr, "fasda_md: unknown argument '%s'\n", bad->c_str());
+    return 1;
+  }
+  try {
+    return run(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fasda_md: %s\n", e.what());
+    return 1;
+  }
 }
