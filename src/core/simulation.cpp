@@ -8,12 +8,15 @@
 
 #include "fasda/md/energy.hpp"
 #include "fasda/obs/obs.hpp"
-#include "fasda/shard/transport.hpp"
 #include "fasda/sim/parallel_scheduler.hpp"
 
 namespace fasda::core {
 
 namespace {
+
+/// A degraded link whose peer node has been heartbeat-silent longer than
+/// this is attributed to the dead node, not the wire.
+constexpr sim::Cycle kNodeSilenceSlack = 64;
 
 /// Effective worker count: 0 = auto (hardware concurrency), clamped to the
 /// shard count — extra workers past one-per-node can only add dispatch
@@ -46,6 +49,7 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
         "Simulation: cell_size must equal the cutoff (R_c normalized to one "
         "cell edge, §3.4)");
   }
+  md::check_elements(state, ff_);
 
   if (config_.faults) config_.faults->validate(map_.num_nodes());
 
@@ -53,31 +57,7 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
   // resolves handles or emits into its own shard.
   if (config_.obs) config_.obs->attach_cluster(map_.num_nodes());
 
-  if (config.proc_workers > 0) {
-    // Worker processes each run the serial scheduler over their owned
-    // slice: ThreadPool threads do not survive fork, and cross-process
-    // parallelism is the point.
-    if (config.num_worker_threads > 1) {
-      throw std::invalid_argument(
-          "Simulation: proc_workers and num_worker_threads > 1 are mutually "
-          "exclusive (each worker process runs the serial scheduler)");
-    }
-    if (sim::resolve_tick_mode(config.tick_mode) == sim::TickMode::kValidate) {
-      throw std::invalid_argument(
-          "Simulation: kValidate is incompatible with proc_workers (the "
-          "oracle audit is process-local)");
-    }
-    if (config.sync_mode == sync::SyncMode::kBulk &&
-        config.bulk_barrier_latency < 1) {
-      throw std::invalid_argument(
-          "Simulation: bulk_barrier_latency must be >= 1 with worker "
-          "processes");
-    }
-    num_workers_ = 1;
-  } else {
-    num_workers_ =
-        effective_workers(config.num_worker_threads, map_.num_nodes());
-  }
+  num_workers_ = effective_workers(config.num_worker_threads, map_.num_nodes());
   if (num_workers_ > 1) {
     // Parallel determinism needs every cross-shard element to expose only
     // >= 1-cycle-delayed state (see DESIGN.md "Threading model"). The
@@ -105,15 +85,8 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
     mig_fabric_->set_fault_plan(*config.faults, net::kMigChannelSalt);
   }
   if (config.sync_mode == sync::SyncMode::kBulk) {
-    if (config.proc_workers > 0) {
-      // The split barrier forks with the workers: each copy flips to the
-      // vote/mirror protocol post-fork while the parent's keeps counting.
-      barrier_ = std::make_unique<shard::SplitBarrier>(
-          map_.num_nodes(), config.bulk_barrier_latency);
-    } else {
-      barrier_ = std::make_unique<sync::BulkBarrier>(
-          map_.num_nodes(), config.bulk_barrier_latency);
-    }
+    barrier_ = std::make_unique<sync::BulkBarrier>(map_.num_nodes(),
+                                                   config.bulk_barrier_latency);
     // Elision poke: the completing arrival schedules the release while the
     // waiting nodes' shards may already be asleep with no wake of their
     // own. wake_all_shards is the thread-safe poke (the arrival happens
@@ -179,39 +152,66 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
     particle.id = static_cast<std::uint32_t>(i);
     nodes_[map_.node_id(node)]->cbb_at(lcell).particles().push_back(particle);
   }
-
-  // The transport is constructed last: the process transport forks here,
-  // and the workers must inherit the fully built, particle-loaded cluster.
-  shard::ClusterRefs refs;
-  refs.scheduler = scheduler_.get();
-  refs.pos = pos_fabric_.get();
-  refs.frc = frc_fabric_.get();
-  refs.mig = mig_fabric_.get();
-  refs.nodes = &nodes_;
-  refs.obs = config_.obs;
-  if (config.proc_workers > 0) {
-    refs.barrier = static_cast<shard::SplitBarrier*>(barrier_.get());
-    transport_ = shard::make_proc_transport(refs, config.proc_workers);
-  } else {
-    transport_ = shard::make_inproc_transport(refs);
-  }
 }
-
-Simulation::~Simulation() = default;
 
 void Simulation::run(int iterations) {
   if (iterations <= 0) return;
-  const sim::Cycle start = transport_->cycle();
-  shard::RunLimits limits;
-  limits.max_cycles_per_iteration = config_.max_cycles_per_iteration;
-  limits.watchdog_budget = config_.watchdog_budget;
-  limits.fault_aware = config_.faults.has_value();
+  const sim::Cycle start = scheduler_->cycle();
+  for (const auto& node : nodes_) node->start(iterations);
+  const sim::Cycle budget =
+      start + config_.max_cycles_per_iteration *
+                  static_cast<sim::Cycle>(iterations);
+  const sim::Cycle watchdog_budget = config_.watchdog_budget;
+  // Elision windows must not sail past the cycle where the watchdog would
+  // fire: a crashed node's heartbeat freezes while every surviving
+  // component sleeps, so the deadline is external to the component oracle.
+  // Live nodes' heartbeats advance through skips, pushing the bound ahead.
+  sim::Scheduler::ExternalWake watchdog_bound;
+  if (watchdog_budget > 0) {
+    watchdog_bound = [this, watchdog_budget](sim::Cycle) {
+      sim::Cycle bound = sim::kNeverCycle;
+      for (const auto& node : nodes_) {
+        if (node->done()) continue;
+        bound = std::min(bound, node->last_heartbeat() + watchdog_budget + 1);
+      }
+      return bound;
+    };
+  }
+  // Evaluated on the caller's thread between cycles (workers idle), so
+  // reading node state here is race-free and throwing is safe.
+  const auto done = [&] {
+    const sim::Cycle now = scheduler_->cycle();
+    if (config_.faults) {
+      for (const auto& node : nodes_) {
+        if (auto deg = node->degraded_link()) {
+          const auto& peer =
+              nodes_.at(static_cast<std::size_t>(deg->first.dst));
+          const sim::Cycle silent = now - peer->last_heartbeat();
+          if (!peer->done() && silent > kNodeSilenceSlack) {
+            throw sync::NodeFailureError(peer->id(), peer->phase_name(),
+                                         silent, now);
+          }
+          throw sync::DegradedLinkError(deg->first, deg->second);
+        }
+      }
+    }
+    if (watchdog_budget > 0) {
+      for (const auto& node : nodes_) {
+        if (node->done()) continue;
+        const sim::Cycle silent = now - node->last_heartbeat();
+        if (silent > watchdog_budget) {
+          throw sync::NodeFailureError(node->id(), node->phase_name(), silent,
+                                       now);
+        }
+      }
+    }
+    for (const auto& node : nodes_) {
+      if (!node->done()) return false;
+    }
+    return true;
+  };
   try {
-    // The transport arms the nodes and drives the run: in-process this is
-    // the historical Scheduler::run_until loop verbatim; with worker
-    // processes it is the lock-step round protocol (DESIGN.md §14). Both
-    // throw the same typed errors with identical detection cycles.
-    transport_->run(iterations, limits);
+    scheduler_->run_until(done, budget, watchdog_bound);
   } catch (const sync::NodeFailureError& e) {
     // Mark the detection on the health track before the failure unwinds, so
     // a supervised trace shows exactly where each attempt died. The stamp is
@@ -235,25 +235,15 @@ void Simulation::run(int iterations) {
     publish_metrics();
     throw;
   }
-  last_run_cycles_ = transport_->cycle() - start;
+  last_run_cycles_ = scheduler_->cycle() - start;
   last_run_iterations_ = iterations;
   publish_metrics();
-}
-
-const sim::ElisionStats& Simulation::elision_stats() const {
-  return transport_->elision_stats();
-}
-
-int Simulation::proc_workers() const { return transport_->num_procs(); }
-
-std::vector<pid_t> Simulation::proc_worker_pids() const {
-  return transport_->worker_pids();
 }
 
 void Simulation::publish_metrics() {
   if (!config_.obs) return;
   obs::Registry& m = config_.obs->metrics();
-  const sim::Cycle now = transport_->cycle();
+  const sim::Cycle now = scheduler_->cycle();
 
   m.set(obs::kClusterNode, m.gauge("sim.cycles"), static_cast<double>(now));
   m.set(obs::kClusterNode, m.gauge("sim.us_per_day"), microseconds_per_day());
@@ -322,20 +312,15 @@ void Simulation::publish_metrics() {
   const obs::Handle h_hb = m.gauge("node.heartbeat");
   const obs::Handle h_alive = m.gauge("node.alive");
   const obs::Handle h_pe_time = m.gauge("node.pe.time_util");
-  const shard::ClusterFold* fold = transport_->fold();
   for (const auto& node : nodes_) {
     const int id = static_cast<int>(node->id());
-    const shard::ClusterFold::Node* fn =
-        fold ? &fold->nodes.at(static_cast<std::size_t>(id)) : nullptr;
-    m.set(id, h_hb,
-          static_cast<double>(fn ? fn->heartbeat : node->last_heartbeat()));
-    m.set(id, h_alive, (fn ? fn->alive : node->alive(now)) ? 1.0 : 0.0);
+    m.set(id, h_hb, static_cast<double>(node->last_heartbeat()));
+    m.set(id, h_alive, node->alive(now) ? 1.0 : 0.0);
     const std::uint64_t pe_instances =
         static_cast<std::uint64_t>(node->num_cbbs()) *
         static_cast<std::uint64_t>(config_.spes) *
         static_cast<std::uint64_t>(config_.pes_per_spe);
-    const sim::UtilCounter& pe = fn ? fn->pe : node->pe_util();
-    m.set(id, h_pe_time, pe.time_utilization(now, pe_instances));
+    m.set(id, h_pe_time, node->pe_util().time_utilization(now, pe_instances));
   }
 }
 
@@ -362,21 +347,11 @@ md::SystemState Simulation::state() const {
 
 std::vector<geom::Vec3f> Simulation::forces_by_particle() const {
   std::vector<geom::Vec3f> out(num_particles_);
-  // Force readouts derive from fixed-point accumulators only the owning
-  // process holds, so the process transport carries them in the fold; the
-  // particle caches themselves are folded back into the parent's CBBs.
-  const shard::ClusterFold* fold = transport_->fold();
   for (const auto& node : nodes_) {
-    const auto* fn =
-        fold ? &fold->nodes.at(static_cast<std::size_t>(node->id())) : nullptr;
     for (int c = 0; c < node->num_cbbs(); ++c) {
       const cbb::Cbb& block = node->cbb_by_index(c);
       const auto& particles = block.particles();
-      const std::vector<geom::Vec3f> forces =
-          fn ? (static_cast<std::size_t>(c) < fn->cbb_forces.size()
-                    ? fn->cbb_forces[static_cast<std::size_t>(c)]
-                    : std::vector<geom::Vec3f>{})
-             : block.forces();
+      const std::vector<geom::Vec3f> forces = block.forces();
       for (std::size_t s = 0; s < forces.size() && s < particles.size(); ++s) {
         out[particles[s].id] = forces[s];
       }
@@ -396,7 +371,7 @@ double Simulation::total_energy() const {
          md::kinetic_energy(s, ff_);
 }
 
-sim::Cycle Simulation::total_cycles() const { return transport_->cycle(); }
+sim::Cycle Simulation::total_cycles() const { return scheduler_->cycle(); }
 
 double Simulation::microseconds_per_day() const {
   if (last_run_cycles_ == 0 || last_run_iterations_ == 0) return 0.0;
@@ -409,26 +384,15 @@ double Simulation::microseconds_per_day() const {
 
 UtilizationReport Simulation::utilization() const {
   sim::UtilCounter pr, fr, filter, pe, mu;
-  const shard::ClusterFold* fold = transport_->fold();
   for (const auto& node : nodes_) {
-    if (fold) {
-      const auto& fn =
-          fold->nodes.at(static_cast<std::size_t>(node->id()));
-      pr.merge(fn.pos_ring);
-      fr.merge(fn.frc_ring);
-      filter.merge(fn.filter);
-      pe.merge(fn.pe);
-      mu.merge(fn.mu);
-    } else {
-      pr.merge(node->pos_ring_util());
-      fr.merge(node->frc_ring_util());
-      filter.merge(node->filter_util());
-      pe.merge(node->pe_util());
-      mu.merge(node->mu_util());
-    }
+    pr.merge(node->pos_ring_util());
+    fr.merge(node->frc_ring_util());
+    filter.merge(node->filter_util());
+    pe.merge(node->pe_util());
+    mu.merge(node->mu_util());
   }
   UtilizationReport out;
-  const auto total = transport_->cycle();
+  const auto total = scheduler_->cycle();
   // Time-utilization denominators: one "instance" per component whose
   // active flag was recorded each tick. Rings and PEs record once per tick,
   // so active/capacity-style normalization uses the instance counts below.
@@ -454,11 +418,10 @@ UtilizationReport Simulation::utilization() const {
 
 TrafficReport Simulation::traffic() const {
   TrafficReport out;
-  const shard::ClusterFold* fold = transport_->fold();
-  out.positions = fold ? fold->pos_traffic : pos_fabric_->traffic();
-  out.forces = fold ? fold->frc_traffic : frc_fabric_->traffic();
-  out.migrations = fold ? fold->mig_traffic : mig_fabric_->traffic();
-  const double cycles = static_cast<double>(transport_->cycle());
+  out.positions = pos_fabric_->traffic();
+  out.forces = frc_fabric_->traffic();
+  out.migrations = mig_fabric_->traffic();
+  const double cycles = static_cast<double>(scheduler_->cycle());
   if (cycles > 0 && !nodes_.empty()) {
     const double bits_per_cycle_to_gbps = config_.clock_hz / 1e9;
     const double n = static_cast<double>(nodes_.size());
@@ -475,20 +438,13 @@ TrafficReport Simulation::traffic() const {
   auto merge_map = [&](const std::map<net::Link, net::LinkStats>& m) {
     for (const auto& [link, stats] : m) out.link_stats[link].merge(stats);
   };
-  if (fold) {
-    merge_map(fold->pos_faults);
-    merge_map(fold->frc_faults);
-    merge_map(fold->mig_faults);
-    for (const auto& fn : fold->nodes) merge_map(fn.link_stats);
-  } else {
-    merge_map(pos_fabric_->fault_stats());
-    merge_map(frc_fabric_->fault_stats());
-    merge_map(mig_fabric_->fault_stats());
-    for (const auto& node : nodes_) {
-      merge_map(node->pos_endpoint().link_stats());
-      merge_map(node->frc_endpoint().link_stats());
-      merge_map(node->mig_endpoint().link_stats());
-    }
+  merge_map(pos_fabric_->fault_stats());
+  merge_map(frc_fabric_->fault_stats());
+  merge_map(mig_fabric_->fault_stats());
+  for (const auto& node : nodes_) {
+    merge_map(node->pos_endpoint().link_stats());
+    merge_map(node->frc_endpoint().link_stats());
+    merge_map(node->mig_endpoint().link_stats());
   }
   for (const auto& [link, stats] : out.link_stats) {
     out.reliability_total.merge(stats);
@@ -498,18 +454,11 @@ TrafficReport Simulation::traffic() const {
 
 const std::vector<sim::Cycle>& Simulation::force_phase_starts(
     idmap::NodeId node) const {
-  if (const shard::ClusterFold* fold = transport_->fold()) {
-    return fold->nodes.at(static_cast<std::size_t>(node)).force_phase_starts;
-  }
   return nodes_.at(node)->force_phase_starts();
 }
 
 std::uint64_t Simulation::pairs_issued() const {
   std::uint64_t n = 0;
-  if (const shard::ClusterFold* fold = transport_->fold()) {
-    for (const auto& fn : fold->nodes) n += fn.pairs_issued;
-    return n;
-  }
   for (const auto& node : nodes_) n += node->pairs_issued();
   return n;
 }

@@ -102,7 +102,6 @@ core::ClusterConfig cluster_config_for(const EngineSpec& spec,
   c.dt = spec.dt;
   c.channel = spec.channel;
   c.num_worker_threads = spec.num_worker_threads;
-  c.proc_workers = spec.proc_workers;
   c.faults = spec.faults;
   c.reliability = spec.reliability;
   if (spec.watchdog_budget > 0) c.watchdog_budget = spec.watchdog_budget;

@@ -16,17 +16,11 @@
 // against md::FunctionalEngine (identical numerics) and md::ReferenceEngine
 // (double precision) by the integration tests.
 
-#include <sys/types.h>
-
 #include <memory>
 #include <vector>
 
 #include "fasda/fpga/node.hpp"
 #include "fasda/md/system_state.hpp"
-
-namespace fasda::shard {
-class ShardTransport;
-}
 
 namespace fasda::core {
 
@@ -69,16 +63,6 @@ struct ClusterConfig {
   /// execution on min(N, num_nodes) workers. Parallel runs are bitwise
   /// identical to serial ones (see "Threading model" in DESIGN.md).
   int num_worker_threads = 0;
-  /// Shard worker processes (DESIGN.md §14). 0 = the in-process transport
-  /// (serial or thread-parallel per num_worker_threads — the historical
-  /// behaviour). N >= 1 forks min(N, num_nodes) worker processes, each
-  /// owning a contiguous node slice and driven over socketpairs in
-  /// lock-step rounds; bitwise identical to in-process by the same
-  /// >= 1-cycle-delay argument that makes threads identical to serial.
-  /// Requires num_worker_threads <= 1 (each worker runs the serial
-  /// scheduler), a kElide or kNaive tick mode (the kValidate oracle audit
-  /// is process-local), and bulk_barrier_latency >= 1 under kBulk sync.
-  int proc_workers = 0;
   /// Telemetry hub (null = disabled). When set, every layer publishes into
   /// it: nodes emit FSM phase spans and sync instants into their own shard,
   /// the fabrics emit traffic counters and fault/retransmit events, and
@@ -122,7 +106,6 @@ class Simulation {
  public:
   Simulation(const md::SystemState& state, md::ForceField ff,
              const ClusterConfig& config);
-  ~Simulation();
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -163,14 +146,10 @@ class Simulation {
 
   /// Ticking strategy actually in effect (config + FASDA_NAIVE_TICK).
   sim::TickMode tick_mode() const { return scheduler_->tick_mode(); }
-  /// Elision/validation counters accumulated by the scheduler (folded over
-  /// the worker processes when proc_workers > 0).
-  const sim::ElisionStats& elision_stats() const;
-
-  /// Worker process count actually forked (0 = in-process transport).
-  int proc_workers() const;
-  /// Worker process ids (empty in-process); exposed for lifecycle tests.
-  std::vector<pid_t> proc_worker_pids() const;
+  /// Elision/validation counters accumulated by the scheduler.
+  const sim::ElisionStats& elision_stats() const {
+    return scheduler_->elision_stats();
+  }
 
   const idmap::ClusterMap& map() const { return map_; }
 
@@ -204,10 +183,6 @@ class Simulation {
   sim::Cycle last_run_cycles_ = 0;
   int last_run_iterations_ = 0;
   std::size_t num_particles_ = 0;
-  /// The pluggable shard boundary (DESIGN.md §14). Declared last: its
-  /// destructor must run first, so worker processes shut down and are
-  /// reaped while the cluster they mirror is still alive.
-  std::unique_ptr<shard::ShardTransport> transport_;
 };
 
 }  // namespace fasda::core

@@ -35,10 +35,6 @@ struct EngineSpec {
   int pes_per_spe = 1;
   int spes = 1;
   int num_worker_threads = 1;  ///< cycle-scheduler threads (DESIGN.md §8)
-  /// Cycle-engine shard worker processes (DESIGN.md §14). 0 = in-process;
-  /// N >= 1 forks min(N, nodes) workers, bitwise identical to in-process.
-  /// Mutually exclusive with num_worker_threads > 1.
-  int proc_workers = 0;
   net::ChannelConfig channel{};
   /// Lossy-fabric model (DESIGN.md §10). Attaching a plan arms the
   /// ack/retransmit protocol; stepping throws sync::DegradedLinkError if a

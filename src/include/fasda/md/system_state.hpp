@@ -26,6 +26,12 @@ struct SystemState {
   geom::CellGrid grid() const { return geom::CellGrid(cell_dims, cell_size); }
 };
 
+/// The input check every engine runs at construction: each particle's
+/// element id must name an element of `ff`, because the coefficient and
+/// mass tables are indexed by it. Throws std::invalid_argument naming the
+/// first bad particle index.
+void check_elements(const SystemState& state, const ForceField& ff);
+
 /// Kinetic energy in internal units given a force field (for masses).
 double kinetic_energy(const SystemState& state, const ForceField& ff);
 

@@ -220,16 +220,6 @@ struct TrafficMatrix {
     packets[{src, dst}]++;
     total_packets++;
   }
-
-  /// Folds another matrix in (shard-transport fold: each worker process
-  /// counts the rows its own nodes sourced, so the per-link sets are
-  /// disjoint and addition reproduces the in-process matrix exactly).
-  void merge(const TrafficMatrix& o) {
-    for (const auto& [link, n] : o.packets) packets[link] += n;
-    total_packets += o.total_packets;
-    control_packets += o.control_packets;
-    retransmit_packets += o.retransmit_packets;
-  }
 };
 
 template <class R>
@@ -720,23 +710,6 @@ class Fabric : public sim::Clocked {
     staged_.at(p.src).push_back(Staged{p, now + config_.link_latency});
   }
 
-  /// Shard-transport uplink (DESIGN.md §14). When set, commit() hands every
-  /// delivery — including fault-mutated copies and duplicates — to the sink
-  /// instead of the local destination endpoint; traffic counting and fault
-  /// injection still run here, on the source-owning side, so the per-link
-  /// fault streams and counters keep their worker-count-independent
-  /// positions. The parent routes each delivery to the worker process that
-  /// owns the destination node, which applies it via deliver_remote().
-  using Uplink = std::function<void(const Packet<R>&, sim::Cycle)>;
-  void set_uplink(Uplink sink) { uplink_ = std::move(sink); }
-
-  /// Applies a routed delivery on the destination-owning side: lands in the
-  /// endpoint's arrival queue exactly as a local commit() delivery would,
-  /// wake hook included.
-  void deliver_remote(const Packet<R>& p, sim::Cycle arrival) {
-    endpoints_.at(p.dst)->deliver(p, arrival);
-  }
-
   /// Applies the cycle's staged sends: stamps the traffic matrix and
   /// schedules the in-order arrival at each destination. Single-threaded;
   /// ascending source order matches what serial in-id-order ticking did —
@@ -869,13 +842,8 @@ class Fabric : public sim::Clocked {
     }
   }
 
-  /// Terminal delivery point of commit(): local endpoint, or the uplink
-  /// when this fabric runs inside a shard-transport worker.
+  /// Terminal delivery point of commit(): the destination endpoint.
   void emit(const Packet<R>& p, sim::Cycle arrival) {
-    if (uplink_) {
-      uplink_(p, arrival);
-      return;
-    }
     endpoints_.at(p.dst)->deliver(p, arrival);
   }
 
@@ -897,7 +865,6 @@ class Fabric : public sim::Clocked {
   std::uint64_t salt_ = 0;
   std::map<Link, FaultState> fault_state_;
   std::map<Link, LinkStats> fault_stats_;
-  Uplink uplink_;
 
   // Telemetry (null hub = disabled; handles resolved once in set_obs).
   obs::Hub* obs_ = nullptr;

@@ -112,32 +112,6 @@ class Registry {
   /// Merges the shards in node-id order into a name-sorted snapshot.
   MetricsSnapshot snapshot() const;
 
-  /// Raw per-node slot image for the shard-transport metrics fold
-  /// (DESIGN.md §14): counters and histogram buckets of nodes in
-  /// [node_begin, node_end), by name. Gauges are excluded — the parent's
-  /// publish pass recomputes every gauge from folded state. Zero slots are
-  /// skipped (counters only grow, so a slot once exported stays exported).
-  struct NodeImage {
-    struct Series {
-      std::string name;
-      MetricKind kind = MetricKind::kCounter;
-      /// (node, value) for counters; (node, offset-into-buckets) pairs with
-      /// kHistogramBuckets + 1 values each in `buckets` for histograms —
-      /// the bucket counts followed by the observed-value sum.
-      std::vector<std::pair<int, std::uint64_t>> values;
-      std::vector<std::uint64_t> buckets;
-    };
-    std::vector<Series> series;  // registration order
-  };
-  NodeImage image_nodes(int node_begin, int node_end) const;
-
-  /// Applies an image with SET semantics: each exported slot overwrites the
-  /// local value. A worker process and its parent construct identical
-  /// registries pre-fork, so the owning worker's slot value IS the
-  /// in-process value for that node — set, not add, keeps repeated folds
-  /// across multiple runs idempotent. Unknown names register on demand.
-  void apply_image(const NodeImage& img);
-
  private:
   struct Shard {
     std::vector<std::uint64_t> counters;

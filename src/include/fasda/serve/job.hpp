@@ -73,8 +73,6 @@ struct JobRequest {
   int pes = 1;
   int spes = 1;
   int workers = 1;            ///< cycle-scheduler threads
-  int proc_workers = 0;       ///< cycle engine: forked shard workers
-  bool naive_tick = false;
   std::string faults;         ///< net::FaultPlan::parse spec; "" = none
 
   // Execution policy.
@@ -87,7 +85,10 @@ struct JobRequest {
 
   /// Parses a submit payload. Unknown keys are ignored (forward
   /// compatibility); a type-mismatched or out-of-range value fails with a
-  /// one-line diagnostic in `error`.
+  /// one-line diagnostic in `error`. The retired process-worker and
+  /// tick-mode keys of older requests and journals land here too: both only
+  /// picked a bitwise-identical execution path, so the job replays in
+  /// process with the same result.
   static std::optional<JobRequest> from_json(const json::Value& v,
                                              std::string& error);
   std::string to_json() const;

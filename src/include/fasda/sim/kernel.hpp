@@ -426,30 +426,17 @@ class Scheduler {
     return cycle_;
   }
 
-  // ------------------------------------------------ shard-transport driver
-  // The elided loop decomposed into externally drivable phases (DESIGN.md
-  // §14). A shard::ProcTransport worker process owns a contiguous slice of
-  // the shard groups and is driven cycle-by-cycle by its parent: begin-run,
-  // then per round loop-top (sweep, returns the min wake over the owned
-  // slice), either a window jump or one executed cycle, and a finishing
-  // jump+flush. run_until drives the same phases in-process over the full
-  // group range, so the two paths cannot diverge.
+ protected:
+  // ------------------------------------------------ elided-loop phases
+  // run_until_elided's steps: begin-run, then per iteration a loop-top
+  // sweep (returns the min wake over every group), either a window jump or
+  // one executed cycle, and an exit flush.
 
-  /// Restricts every sharded loop (sweeps, ticks, commits, flushes, stats)
-  /// to groups [begin, end). Global components/clocked stay included — a
-  /// worker's fabrics only ever stage traffic from its own nodes.
-  void set_owned_shards(std::size_t begin, std::size_t end) {
-    own_begin_ = begin;
-    own_end_ = end;
-  }
-
-  /// Mirrors the run_until_elided entry: arbitrary state may have changed
-  /// since the last run (loaders, node arming), so mark every owned group
-  /// awake for a total first sweep, and force the first hot probe.
-  void driver_begin_run() {
-    const auto [lo, hi] = owned_range();
-    for (std::size_t i = lo; i < hi; ++i) {
-      ShardGroup& g = groups_[i];
+  /// Arbitrary state may have changed since the last run (loaders, node
+  /// arming), so mark every group awake for a total first sweep, and force
+  /// the first hot probe.
+  void begin_elided_run() {
+    for (ShardGroup& g : groups_) {
       g.wake = cycle_;
       g.skip_from = kNeverCycle;
       g.idle = 0;
@@ -461,17 +448,14 @@ class Scheduler {
   /// Loop top at now == cycle_: drains pokes, sweeps global components,
   /// flushes and re-sweeps due groups (with the busy-shard fast path), opens
   /// deferred windows for groups that fall asleep, and returns the earliest
-  /// wake over the owned slice.
-  Cycle driver_loop_top() {
+  /// wake over every group.
+  Cycle elided_loop_top() {
     const Cycle now = cycle_;
-    const auto [lo, hi] = owned_range();
     // Fold worker-thread pokes (barrier releases) into every group.
     const Cycle poke =
         poke_all_.exchange(kNeverCycle, std::memory_order_relaxed);
     if (poke != kNeverCycle) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        groups_[i].wake = std::min(groups_[i].wake, poke);
-      }
+      for (ShardGroup& g : groups_) g.wake = std::min(g.wake, poke);
     }
     Cycle wake = kNeverCycle;
     for (Component* c : global_components_) {
@@ -479,8 +463,7 @@ class Scheduler {
       c->set_sched_wake(w);
       wake = std::min(wake, w);
     }
-    for (std::size_t i = lo; i < hi; ++i) {
-      ShardGroup& g = groups_[i];
+    for (ShardGroup& g : groups_) {
       if (g.hot) {
         if (g.probe_in == 0) {
           sweep_group(g, now);
@@ -518,12 +501,10 @@ class Scheduler {
   /// Jumps the clock over a globally dead window [cycle_, to): sleeping
   /// groups' deferred windows absorb it, only global components and the
   /// eager prefixes replay it directly.
-  void driver_jump(Cycle to) {
+  void jump_window(Cycle to) {
     const Cycle now = cycle_;
-    const auto [lo, hi] = owned_range();
     for (Component* c : global_components_) c->skip_idle(now, to);
-    for (std::size_t i = lo; i < hi; ++i) {
-      ShardGroup& g = groups_[i];
+    for (ShardGroup& g : groups_) {
       for (std::size_t e = 0; e < g.eager; ++e) {
         g.components[e]->skip_idle(now, to);
       }
@@ -532,12 +513,10 @@ class Scheduler {
     cycle_ = to;
   }
 
-  /// Executes one elided cycle: stats accounting over the owned slice, then
+  /// Executes one elided cycle: stats accounting over every group, then
   /// the selective tick/commit fan-out.
-  void driver_execute() {
-    const auto [lo, hi] = owned_range();
-    for (std::size_t i = lo; i < hi; ++i) {
-      const ShardGroup& g = groups_[i];
+  void execute_elided_cycle() {
+    for (const ShardGroup& g : groups_) {
       if (g.wake > cycle_) {
         stats_.component_idle_skips += g.components.size();
         ++stats_.shard_sleep_cycles;
@@ -549,37 +528,6 @@ class Scheduler {
     ++stats_.executed_cycles;
   }
 
-  /// Executes one naive cycle over the owned slice (the worker-side
-  /// FASDA_NAIVE_TICK path; the in-process naive loop keeps using
-  /// run_cycle over the flat registration order).
-  void driver_execute_naive() {
-    const Cycle now = cycle_;
-    const auto [lo, hi] = owned_range();
-    for (Component* c : global_components_) c->tick(now);
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (Component* c : groups_[i].components) c->tick(now);
-    }
-    for (std::size_t i = lo; i < hi; ++i) commit_group(groups_[i]);
-    for (Clocked* c : global_clocked_) c->commit();
-    ++cycle_;
-    ++stats_.executed_cycles;
-  }
-
-  /// Settles a run at `at`: jumps any remaining window, then flushes every
-  /// open deferred idle window so post-run bookkeeping matches the naive
-  /// schedule (the worker-side equivalent of run_until's exit flush).
-  void driver_finish(Cycle at) {
-    if (cycle_ < at) driver_jump(at);
-    flush_deferred_idle();
-  }
-
-  /// Global (unsharded) components cannot be split across worker processes;
-  /// shard::ProcTransport refuses clusters that register any.
-  std::size_t global_component_count() const {
-    return global_components_.size();
-  }
-
- protected:
   /// One shard's slice of the registration, plus its sleep state. `wake` is
   /// the cached minimum of the members' swept wakes (folded with any poke);
   /// the group is awake when wake <= now. While a group sleeps its members
@@ -658,7 +606,6 @@ class Scheduler {
   /// run_cycle() is left untouched for direct (test) callers.
   virtual void run_cycle_elided() {
     const Cycle now = cycle_;
-    const auto [lo, hi] = owned_range();
     for (Component* c : global_components_) {
       if (c->sched_wake() <= now) {
         c->tick(now);
@@ -666,8 +613,7 @@ class Scheduler {
         c->skip_idle(now, now + 1);
       }
     }
-    for (std::size_t gi = lo; gi < hi; ++gi) {
-      ShardGroup& g = groups_[gi];
+    for (ShardGroup& g : groups_) {
       if (g.wake > now) {
         for (std::size_t i = 0; i < g.eager; ++i) {
           g.components[i]->skip_idle(now, now + 1);
@@ -689,8 +635,7 @@ class Scheduler {
         }
       }
     }
-    for (std::size_t gi = lo; gi < hi; ++gi) {
-      ShardGroup& g = groups_[gi];
+    for (ShardGroup& g : groups_) {
       if (g.wake > now) continue;
       commit_group(g);
     }
@@ -760,34 +705,26 @@ class Scheduler {
   /// unwinding), so utilization counters observed after the run match the
   /// naive schedule exactly.
   void flush_deferred_idle() {
-    const auto [lo, hi] = owned_range();
-    for (std::size_t i = lo; i < hi; ++i) flush_group_idle(groups_[i], cycle_);
-  }
-
-  /// The owned slice of groups_, clamped to its current size (groups are
-  /// created lazily during registration).
-  std::pair<std::size_t, std::size_t> owned_range() const {
-    const std::size_t hi = std::min(own_end_, groups_.size());
-    return {std::min(own_begin_, hi), hi};
+    for (ShardGroup& g : groups_) flush_group_idle(g, cycle_);
   }
 
   void run_until_elided(const std::function<bool()>& done, Cycle max_cycles,
                         const ExternalWake& external_wake) {
-    driver_begin_run();
+    begin_elided_run();
     try {
       while (!done()) {
         if (cycle_ >= max_cycles) throw_budget_overrun();
         const Cycle now = cycle_;
-        Cycle wake = driver_loop_top();
+        Cycle wake = elided_loop_top();
         if (external_wake) wake = std::min(wake, external_wake(now));
         if (wake > now) {
           // Globally dead window [now, wake): no ticks can change state, so
           // jump. Clamping to the budget keeps the overrun throw at the
           // same cycle the naive loop would reach it.
-          driver_jump(std::min(wake, max_cycles));
+          jump_window(std::min(wake, max_cycles));
           continue;
         }
-        driver_execute();
+        execute_elided_cycle();
       }
     } catch (...) {
       flush_deferred_idle();
@@ -826,10 +763,6 @@ class Scheduler {
   /// Pending wake_all_shards poke (kNeverCycle = none); written by workers,
   /// drained by the driving thread before each sweep.
   std::atomic<Cycle> poke_all_{kNeverCycle};
-  /// Owned group window [own_begin_, own_end_), see set_owned_shards. The
-  /// defaults cover every group — only ProcTransport workers narrow it.
-  std::size_t own_begin_ = 0;
-  std::size_t own_end_ = std::numeric_limits<std::size_t>::max();
   Cycle cycle_ = 0;
   obs::Hub* obs_ = nullptr;
   TickMode mode_ = TickMode::kNaive;

@@ -142,19 +142,12 @@ class ChainedSync {
 /// release_latency >= 1, because a generation completed at cycle N is only
 /// ever releasable at N + release_latency > N (core::Simulation enforces
 /// the precondition when parallel execution is requested).
-///
-/// arrive/released/release_cycle are virtual so shard::SplitBarrier can run
-/// the same barrier split across worker processes: the worker-side override
-/// records votes and mirrors releases announced by the parent instead of
-/// counting arrivals locally (DESIGN.md §14).
 class BulkBarrier {
  public:
   BulkBarrier(int num_nodes, sim::Cycle release_latency)
       : num_nodes_(num_nodes), release_latency_(release_latency) {}
 
-  virtual ~BulkBarrier() = default;
-
-  virtual void arrive(std::uint64_t seq, sim::Cycle now) {
+  void arrive(std::uint64_t seq, sim::Cycle now) {
     std::lock_guard lock(mutex_);
     Generation& g = generations_[seq];
     if (g.arrived >= num_nodes_) {
@@ -176,7 +169,7 @@ class BulkBarrier {
     wake_hook_ = std::move(hook);
   }
 
-  virtual bool released(std::uint64_t seq, sim::Cycle now) const {
+  bool released(std::uint64_t seq, sim::Cycle now) const {
     std::lock_guard lock(mutex_);
     const auto it = generations_.find(seq);
     return it != generations_.end() && it->second.arrived == num_nodes_ &&
@@ -187,7 +180,7 @@ class BulkBarrier {
   /// while the generation is still filling (a waiting node then sleeps
   /// until another node's arrival executes a cycle and triggers a fresh
   /// wake sweep). Called single-threaded between cycles.
-  virtual std::optional<sim::Cycle> release_cycle(std::uint64_t seq) const {
+  std::optional<sim::Cycle> release_cycle(std::uint64_t seq) const {
     std::lock_guard lock(mutex_);
     const auto it = generations_.find(seq);
     if (it == generations_.end() || it->second.arrived != num_nodes_) {

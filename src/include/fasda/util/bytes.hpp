@@ -1,6 +1,6 @@
 #pragma once
 // Bounds-checked little-endian byte codec for the control-plane frames
-// (util/frame.hpp) and the Packet wire format (DESIGN.md §14). Writers
+// (util/frame.hpp) and the serve job-state encoding. Writers
 // append to a growable buffer; readers consume from a span and latch a
 // sticky failure flag on overrun instead of throwing, so decoders read an
 // entire message unconditionally and check ok() once at the end —
@@ -17,27 +17,14 @@ namespace fasda::util {
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { put_le(v); }
   void u32(std::uint32_t v) { put_le(v); }
   void u64(std::uint64_t v) { put_le(v); }
   void i32(std::int32_t v) { put_le(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
 
-  void f32(float v) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    put_le(bits);
-  }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
     put_le(bits);
-  }
-
-  /// u32 length prefix + raw bytes.
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
   void bytes(const void* data, std::size_t n) {
@@ -81,29 +68,15 @@ class ByteReader {
   bool done() const { return ok_ && pos_ == size_; }
 
   std::uint8_t u8() { return take(1) ? data_[pos_ - 1] : 0; }
-  std::uint16_t u16() { return get_le<std::uint16_t>(); }
   std::uint32_t u32() { return get_le<std::uint32_t>(); }
   std::uint64_t u64() { return get_le<std::uint64_t>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
   double f64() {
     const std::uint64_t bits = u64();
     double v;
     std::memcpy(&v, &bits, sizeof v);
     return v;
-  }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!take(n)) return {};
-    return std::string(reinterpret_cast<const char*>(data_ + pos_ - n), n);
   }
 
  private:

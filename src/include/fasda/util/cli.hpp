@@ -1,8 +1,9 @@
 #pragma once
-// Tiny flag parser shared by benches and examples: --key value / --key=value
-// / bare --switch. Every flag is collected; a tool that rejects the ones it
-// does not read asks first_unknown().
+// Tiny flag parser shared by the tools, benches and examples: --key value /
+// --key=value / bare --switch. Every flag is collected; a tool that rejects
+// the ones it does not read runs its body through Cli::run().
 
+#include <functional>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -26,6 +27,11 @@ class Cli {
   /// True if --name was present (with or without a value).
   bool has(std::string_view name) const;
 
+  /// True if the bare switch --name was present. A bare switch followed by
+  /// a word would take it as its value under the --key value grammar, so a
+  /// value throws std::invalid_argument instead of dropping the word.
+  bool has_switch(std::string_view name) const;
+
   std::optional<std::string> get(std::string_view name) const;
   std::string get_or(std::string_view name, std::string_view fallback) const;
   /// Numeric values must parse whole: an empty value, trailing characters
@@ -39,6 +45,15 @@ class Cli {
       std::initializer_list<std::string_view> known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
+
+  /// The command-line front end of the tools: parses argv, refuses a flag
+  /// outside `known` or a positional argument, then runs `body`. Either
+  /// refusal, or a std::invalid_argument out of `body` (a malformed number,
+  /// an unknown enum value), prints one line "prog: message" to stderr and
+  /// returns exit code 1. Otherwise returns what `body` returns.
+  static int run(int argc, char** argv, const char* prog,
+                 std::initializer_list<std::string_view> known,
+                 const std::function<int(const Cli&)>& body);
 
  private:
   std::vector<std::pair<std::string, std::string>> flags_;  // name -> value ("" if none)

@@ -1,5 +1,5 @@
 #pragma once
-// The one CRC-framed record format of the host-side control plane. Three
+// The one CRC-framed record format of the host-side control plane. Two
 // protocols speak it, byte for byte the same:
 //
 //   [u32 length][u32 crc][u8 type][payload ...]
@@ -15,11 +15,6 @@
 // set. What it does with a damaged frame is its own error policy:
 //
 //   protocol         traits                    cap     error policy
-//   shard transport  shard::ShardProtocol      1 GiB   recv_frame() throws
-//                    (FrameType kStart..kError)        TransportError;
-//                                                      ProcTransport reports
-//                                                      the worker as a
-//                                                      NodeFailureError
 //   serve wire       serve::WireProtocol       16 MiB  the decoder poisons
 //                    (MsgType kSubmit..kStats,         the stream; the server
 //                    kAccepted..kRecovering)           answers a typed kError
@@ -36,7 +31,7 @@
 // protocol's error class: an oversized payload fails loudly where it is
 // made instead of poisoning the peer with bad-length (or, past 4 GiB,
 // silently wrapping the u32 length prefix). Socket is the fd-owning
-// stream end the shard transport and the serve wire share.
+// stream end of the serve wire.
 
 #include <sys/socket.h>
 #include <sys/time.h>

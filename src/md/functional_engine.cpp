@@ -32,6 +32,7 @@ FunctionalEngine::FunctionalEngine(const SystemState& state, ForceField ff,
         "FunctionalEngine requires cell_size == cutoff: the hardware "
         "normalizes R_c to one cell edge (§3.4)");
   }
+  check_elements(state, ff_);
 
   cells_.resize(grid_.num_cells());
   for (std::size_t i = 0; i < state.size(); ++i) {

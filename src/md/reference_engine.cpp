@@ -16,6 +16,7 @@ ReferenceEngine::ReferenceEngine(SystemState state, ForceField ff, double cutoff
       terms_(terms),
       pool_(threads),
       neighbors_(neighbors) {
+  check_elements(state_, ff_);
   cell_particles_.resize(grid_.num_cells());
   forces_.resize(state_.size());
   worker_forces_.resize(pool_.size());

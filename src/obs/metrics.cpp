@@ -159,64 +159,6 @@ MetricsSnapshot Registry::snapshot() const {
   return snap;
 }
 
-Registry::NodeImage Registry::image_nodes(int node_begin, int node_end) const {
-  NodeImage img;
-  const int hi = std::min(node_end, num_nodes());
-  for (const Meta& meta : metas_) {
-    if (meta.kind == MetricKind::kGauge) continue;
-    NodeImage::Series s;
-    s.name = meta.name;
-    s.kind = meta.kind;
-    const std::size_t slot = slot_of(meta.handle);
-    for (int node = node_begin; node < hi; ++node) {
-      const Shard& shard = shards_[static_cast<std::size_t>(node + 1)];
-      if (meta.kind == MetricKind::kCounter) {
-        const std::uint64_t v = shard.counters[slot];
-        if (v != 0) s.values.emplace_back(node, v);
-      } else {
-        const std::size_t base = slot * kHistogramBuckets;
-        bool any = false;
-        for (int b = 0; b < kHistogramBuckets && !any; ++b) {
-          any = shard.hist[base + static_cast<std::size_t>(b)] != 0;
-        }
-        if (!any) continue;
-        s.values.emplace_back(node, s.buckets.size());
-        s.buckets.insert(s.buckets.end(), shard.hist.begin() + static_cast<std::ptrdiff_t>(base),
-                         shard.hist.begin() + static_cast<std::ptrdiff_t>(base + kHistogramBuckets));
-        s.buckets.push_back(shard.hist_sum[slot]);
-      }
-    }
-    if (!s.values.empty()) img.series.push_back(std::move(s));
-  }
-  return img;
-}
-
-void Registry::apply_image(const NodeImage& img) {
-  for (const NodeImage::Series& s : img.series) {
-    const Handle h = register_metric(s.name, s.kind);
-    const std::size_t slot = slot_of(h);
-    for (const auto& [node, v] : s.values) {
-      ensure_nodes(node + 1);
-      Shard& shard = shards_[static_cast<std::size_t>(node + 1)];
-      if (s.kind == MetricKind::kCounter) {
-        shard.counters[slot] = v;
-      } else {
-        const std::size_t base = slot * kHistogramBuckets;
-        for (int b = 0; b < kHistogramBuckets; ++b) {
-          shard.hist[base + static_cast<std::size_t>(b)] =
-              s.buckets[static_cast<std::size_t>(v) +
-                        static_cast<std::size_t>(b)];
-        }
-        // The blob carries the per-slot sum after the bucket counts; an
-        // image from an older producer without it keeps the local sum.
-        const std::size_t sum_at =
-            static_cast<std::size_t>(v) + kHistogramBuckets;
-        if (sum_at < s.buckets.size()) shard.hist_sum[slot] = s.buckets[sum_at];
-      }
-    }
-  }
-}
-
 // -------------------------------------------------------- MetricsSnapshot
 
 std::uint64_t MetricsSnapshot::Series::bucket_count() const {

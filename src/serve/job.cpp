@@ -237,8 +237,6 @@ std::optional<JobRequest> JobRequest::from_json(const json::Value& v,
   int_field("pes", r.pes, 1, 64);
   int_field("spes", r.spes, 1, 64);
   int_field("workers", r.workers, 0, 256);
-  int_field("proc_workers", r.proc_workers, 0, 256);
-  bool_field("naive_tick", r.naive_tick);
   str_field("faults", r.faults);
   int_field("batch_workers", r.batch_workers, 1, 256);
   bool_field("supervise", r.supervise);
@@ -277,8 +275,6 @@ std::string JobRequest::to_json() const {
   out += ",\"pes\":" + std::to_string(pes);
   out += ",\"spes\":" + std::to_string(spes);
   out += ",\"workers\":" + std::to_string(workers);
-  out += ",\"proc_workers\":" + std::to_string(proc_workers);
-  out += std::string(",\"naive_tick\":") + (naive_tick ? "true" : "false");
   if (!faults.empty()) out += ",\"faults\":" + json::quoted(faults);
   out += ",\"batch_workers\":" + std::to_string(batch_workers);
   out += std::string(",\"supervise\":") + (supervise ? "true" : "false");
@@ -365,9 +361,6 @@ std::string JobRequest::validate() const {
       return std::string("faults: ") + e.what();
     }
   }
-  if (proc_workers > 0 && workers > 1) {
-    return "proc_workers is mutually exclusive with workers > 1";
-  }
   return {};
 }
 
@@ -427,8 +420,6 @@ engine::EngineSpec engine_spec_for(const JobRequest& req) {
   spec.pes_per_spe = req.pes;
   spec.spes = req.spes;
   spec.num_worker_threads = req.workers;
-  spec.proc_workers = req.proc_workers;
-  spec.naive_tick = req.naive_tick;
   if (!req.faults.empty()) spec.faults = net::FaultPlan::parse(req.faults);
   return spec;
 }

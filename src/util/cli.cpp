@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -78,6 +79,15 @@ bool Cli::has(std::string_view name) const {
   return false;
 }
 
+bool Cli::has_switch(std::string_view name) const {
+  const auto v = get(name);
+  if (v && !v->empty()) {
+    throw std::invalid_argument("--" + std::string(name) +
+                                " takes no value, got '" + *v + "'");
+  }
+  return v.has_value();
+}
+
 std::optional<std::string> Cli::get(std::string_view name) const {
   for (const auto& [key, value] : flags_) {
     if (key == name) return value;
@@ -131,6 +141,21 @@ std::optional<std::string> Cli::first_unknown(
   }
   if (!positional_.empty()) return positional_.front();
   return std::nullopt;
+}
+
+int Cli::run(int argc, char** argv, const char* prog,
+             std::initializer_list<std::string_view> known,
+             const std::function<int(const Cli&)>& body) {
+  try {
+    const Cli cli(argc, argv);
+    if (const auto bad = cli.first_unknown(known)) {
+      throw std::invalid_argument("unknown argument '" + *bad + "'");
+    }
+    return body(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", prog, e.what());
+    return 1;
+  }
 }
 
 }  // namespace fasda::util

@@ -6,6 +6,8 @@
 # flag or value.
 md="$1"
 status=0
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 check() {
   expect="$1"
@@ -34,4 +36,14 @@ check --ewald --ewald stray       # a word after a bare switch
 check --steps --steps abc
 check --dt --dt 2fs
 check NaCl --forcefield NaCl
+
+# A two-element (nacl) checkpoint restarted under the default one-element
+# (na) force field: the engine refuses the unknown element id.
+if "$md" --engine functional --space 333 --per-cell 2 --forcefield nacl \
+    --steps 1 --sample 1 --checkpoint "$tmp/nacl.bin" >/dev/null 2>&1; then
+  check "element id 1" --restart "$tmp/nacl.bin"
+else
+  echo "FAIL: could not write the nacl checkpoint"
+  status=1
+fi
 exit $status

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "fasda/net/network.hpp"
-#include "fasda/net/wire.hpp"
-#include "fasda/util/rng.hpp"
 
 namespace fasda::net {
 namespace {
@@ -245,200 +243,6 @@ TEST(Fabric, TrafficMatrixPerPair) {
   EXPECT_EQ(t.packets.at({0, 1}), 1u);
   EXPECT_EQ(t.packets.at({0, 2}), 2u);
   EXPECT_EQ(t.total_packets, 3u);
-}
-
-// ---------------------------------------------------------------- wire fuzz
-// ProcTransport ships staged fabric deliveries between worker processes via
-// net::wire, so the codec must round-trip every field bit-exactly and
-// reject damaged buffers (DESIGN.md §14).
-
-geom::IVec3 rand_ivec3(util::Xoshiro256& rng) {
-  return {static_cast<int>(rng() % 64) - 32,
-          static_cast<int>(rng() % 64) - 32,
-          static_cast<int>(rng() % 64) - 32};
-}
-
-geom::Vec3f rand_vec3f(util::Xoshiro256& rng) {
-  const auto f = [&] {
-    return static_cast<float>(static_cast<std::int64_t>(rng() % 2000001) -
-                              1000000) /
-           1000.0f;
-  };
-  return {f(), f(), f()};
-}
-
-fixed::FixedVec3 rand_fixed3(util::Xoshiro256& rng) {
-  return {fixed::FixedCoord::from_raw(static_cast<std::uint32_t>(rng())),
-          fixed::FixedCoord::from_raw(static_cast<std::uint32_t>(rng())),
-          fixed::FixedCoord::from_raw(static_cast<std::uint32_t>(rng()))};
-}
-
-PosRecord rand_record(util::Xoshiro256& rng, PosRecord*) {
-  PosRecord r;
-  r.src_gcell = rand_ivec3(rng);
-  r.offset = rand_fixed3(rng);
-  r.elem = static_cast<md::ElementId>(rng());
-  r.slot = static_cast<std::uint16_t>(rng());
-  return r;
-}
-
-FrcRecord rand_record(util::Xoshiro256& rng, FrcRecord*) {
-  FrcRecord r;
-  r.dest_gcell = rand_ivec3(rng);
-  r.force = rand_vec3f(rng);
-  r.slot = static_cast<std::uint16_t>(rng());
-  return r;
-}
-
-MigRecord rand_record(util::Xoshiro256& rng, MigRecord*) {
-  MigRecord r;
-  r.dest_gcell = rand_ivec3(rng);
-  r.offset = rand_fixed3(rng);
-  r.vel = rand_vec3f(rng);
-  r.elem = static_cast<md::ElementId>(rng());
-  r.particle_id = static_cast<std::uint32_t>(rng());
-  return r;
-}
-
-template <class R>
-Packet<R> rand_packet(util::Xoshiro256& rng) {
-  Packet<R> p;
-  p.kind = rng() % 4 == 0 ? PacketKind::kControl : PacketKind::kData;
-  p.seq = rng();
-  p.ack = rng();
-  p.nack = rng();
-  p.has_nack = rng() % 2 == 0;
-  p.retransmit = rng() % 2 == 0;
-  p.last = rng() % 2 == 0;
-  p.src = static_cast<NodeId>(rng() % 64);
-  p.dst = static_cast<NodeId>(rng() % 64);
-  p.count = static_cast<int>(rng() % (kRecordsPerPacket + 1));
-  for (int i = 0; i < p.count; ++i) {
-    p.records[static_cast<std::size_t>(i)] =
-        rand_record(rng, static_cast<R*>(nullptr));
-  }
-  p.crc = packet_crc(p);
-  return p;
-}
-
-void expect_packet_eq(const Packet<PosRecord>& a, const Packet<PosRecord>& b) {
-  for (int i = 0; i < a.count; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    EXPECT_EQ(a.records[s].src_gcell, b.records[s].src_gcell);
-    EXPECT_EQ(a.records[s].offset, b.records[s].offset);
-    EXPECT_EQ(a.records[s].elem, b.records[s].elem);
-    EXPECT_EQ(a.records[s].slot, b.records[s].slot);
-  }
-}
-
-void expect_packet_eq(const Packet<FrcRecord>& a, const Packet<FrcRecord>& b) {
-  for (int i = 0; i < a.count; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    EXPECT_EQ(a.records[s].dest_gcell, b.records[s].dest_gcell);
-    EXPECT_EQ(a.records[s].force.x, b.records[s].force.x);
-    EXPECT_EQ(a.records[s].force.y, b.records[s].force.y);
-    EXPECT_EQ(a.records[s].force.z, b.records[s].force.z);
-    EXPECT_EQ(a.records[s].slot, b.records[s].slot);
-  }
-}
-
-void expect_packet_eq(const Packet<MigRecord>& a, const Packet<MigRecord>& b) {
-  for (int i = 0; i < a.count; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    EXPECT_EQ(a.records[s].dest_gcell, b.records[s].dest_gcell);
-    EXPECT_EQ(a.records[s].offset, b.records[s].offset);
-    EXPECT_EQ(a.records[s].vel.x, b.records[s].vel.x);
-    EXPECT_EQ(a.records[s].vel.y, b.records[s].vel.y);
-    EXPECT_EQ(a.records[s].vel.z, b.records[s].vel.z);
-    EXPECT_EQ(a.records[s].elem, b.records[s].elem);
-    EXPECT_EQ(a.records[s].particle_id, b.records[s].particle_id);
-  }
-}
-
-template <class R>
-void fuzz_round_trip(std::uint64_t seed, int iters) {
-  util::Xoshiro256 rng(seed);
-  for (int it = 0; it < iters; ++it) {
-    const Packet<R> p = rand_packet<R>(rng);
-    const std::vector<std::uint8_t> bytes = wire::encode_packet(p);
-
-    // Field-wise round trip + the field-wise digest still verifies.
-    Packet<R> q;
-    ASSERT_TRUE(wire::decode_packet(bytes, q));
-    EXPECT_EQ(q.kind, p.kind);
-    EXPECT_EQ(q.seq, p.seq);
-    EXPECT_EQ(q.ack, p.ack);
-    EXPECT_EQ(q.nack, p.nack);
-    EXPECT_EQ(q.has_nack, p.has_nack);
-    EXPECT_EQ(q.retransmit, p.retransmit);
-    EXPECT_EQ(q.last, p.last);
-    EXPECT_EQ(q.src, p.src);
-    EXPECT_EQ(q.dst, p.dst);
-    EXPECT_EQ(q.count, p.count);
-    EXPECT_EQ(q.crc, p.crc);
-    expect_packet_eq(p, q);
-    EXPECT_EQ(packet_crc(q), q.crc);
-
-    // Every truncation is rejected (never reads out of bounds, never
-    // "succeeds" on a prefix).
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-      std::vector<std::uint8_t> trunc(bytes.begin(),
-                                      bytes.begin() + static_cast<std::ptrdiff_t>(cut));
-      Packet<R> t;
-      EXPECT_FALSE(wire::decode_packet(trunc, t)) << "cut=" << cut;
-    }
-
-    // A single flipped bit anywhere is rejected via the trailing CRC.
-    std::vector<std::uint8_t> flipped = bytes;
-    const std::size_t byte = rng() % flipped.size();
-    flipped[byte] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
-    Packet<R> f;
-    EXPECT_FALSE(wire::decode_packet(flipped, f)) << "flip byte=" << byte;
-
-    // Trailing garbage is rejected too.
-    std::vector<std::uint8_t> padded = bytes;
-    padded.push_back(0);
-    Packet<R> g;
-    EXPECT_FALSE(wire::decode_packet(padded, g));
-  }
-}
-
-TEST(WireFuzz, PosPacketRoundTrip) { fuzz_round_trip<PosRecord>(0xF00D, 200); }
-
-TEST(WireFuzz, FrcPacketRoundTrip) { fuzz_round_trip<FrcRecord>(0xBEEF, 200); }
-
-TEST(WireFuzz, MigPacketRoundTrip) { fuzz_round_trip<MigRecord>(0xCAFE, 200); }
-
-TEST(WireFuzz, ShapeViolationsRejected) {
-  util::Xoshiro256 rng(7);
-  Packet<PosRecord> p = rand_packet<PosRecord>(rng);
-  p.count = 2;
-  p.crc = packet_crc(p);
-
-  // Re-encode with a bad count but a fixed-up trailing CRC: the shape check
-  // itself must reject, not just the checksum.
-  const auto reencode_with_count = [&](std::int32_t count) {
-    util::ByteWriter w;
-    wire::put_packet(w, p);
-    std::vector<std::uint8_t> bytes = w.take();
-    // Count sits after kind(1) + seq/ack/nack(24) + has_nack(1) = offset 26.
-    for (int i = 0; i < 4; ++i) {
-      bytes[26 + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(static_cast<std::uint32_t>(count) >> (8 * i));
-    }
-    util::Crc32 crc;
-    crc.add_bytes(bytes.data(), bytes.size());
-    util::ByteWriter tail;
-    tail.u32(crc.value());
-    bytes.insert(bytes.end(), tail.data().begin(), tail.data().end());
-    return bytes;
-  };
-
-  Packet<PosRecord> out;
-  EXPECT_FALSE(
-      wire::decode_packet(reencode_with_count(kRecordsPerPacket + 1), out));
-  EXPECT_FALSE(wire::decode_packet(reencode_with_count(-1), out));
-  EXPECT_TRUE(wire::decode_packet(reencode_with_count(2), out));
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 
 #include <cmath>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "fasda/core/simulation.hpp"
 #include "fasda/md/dataset.hpp"
 #include "fasda/md/energy.hpp"
 #include "fasda/md/functional_engine.hpp"
+#include "fasda/md/reference_engine.hpp"
 #include "fasda/ring/ring.hpp"
 #include "fasda/util/rng.hpp"
 
@@ -50,6 +53,34 @@ TEST(Robustness, EmptyCellsHandledByAllEngines) {
   core::Simulation sim(state, ff, core::ClusterConfig{});
   sim.run(5);
   EXPECT_EQ(sim.state().size(), state.size());
+}
+
+// A state whose element ids the force field lacks (a nacl checkpoint
+// restarted under the sodium-only field) is refused at construction by
+// every engine, naming the first bad particle, instead of reading the
+// coefficient and mass tables out of bounds later.
+TEST(Robustness, UnknownElementIdsRejectedByAllEngines) {
+  const auto ff = md::ForceField::sodium();
+  auto state = sparse_state();
+  state.elements[3] = 1;
+  state.elements[5] = 1;
+  const auto expect_rejected = [](const char* engine, const auto& build) {
+    try {
+      build();
+      ADD_FAILURE() << engine << " accepted an element id past the field";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("particle 3 has element id 1"),
+                std::string::npos)
+          << engine << ": " << e.what();
+    }
+  };
+  md::FunctionalConfig fc;
+  fc.cutoff = 8.5;
+  expect_rejected("functional", [&] { md::FunctionalEngine(state, ff, fc); });
+  expect_rejected("reference",
+                  [&] { md::ReferenceEngine(state, ff, 8.5, 2.0); });
+  expect_rejected("cycle",
+                  [&] { core::Simulation(state, ff, core::ClusterConfig{}); });
 }
 
 TEST(Robustness, LoneParticleFeelsNoForce) {

@@ -4,7 +4,7 @@
 //   1. JournalFuzz: the salvage scan survives every truncation point, every
 //      single-bit flip, duplicated records, torn final appends, and random
 //      garbage — always a typed RecoveryReport, never a crash, never a
-//      silently dropped valid-prefix record (the WireFuzz discipline
+//      silently dropped valid-prefix record (the ServeWireFuzz discipline
 //      applied to the on-disk format).
 //   2. Recovery semantics in-process: completed results survive restarts,
 //      lost queued jobs are re-admitted in original order and re-run
@@ -373,6 +373,58 @@ TEST(ServeDurability, LostQueuedJobsReadmittedAndRerun) {
     }
     server.drain_and_stop();
   }
+}
+
+// A journal written by a daemon from before the process shard transport
+// and the request tick knob were retired, then SIGKILLed with its one job
+// admitted but not run. Its kAdmitted cycle request carries the retired
+// keys for two forked shard workers and for the naive tick. Both only
+// picked a bitwise-identical execution path,
+// so recovery must read the journal clean, re-run the job in process, and
+// reproduce the state of the same request without them.
+TEST(ServeDurability, RetiredEngineKeysReplayInProcess) {
+  const std::string recorded =
+      "b1010000d3575a9c017b226a6f62223a312c227370616e223a3137393234333633373932"
+      "39353732392c2272657175657374223a7b2274656e616e74223a2264656661756c74222c"
+      "227072696f72697479223a302c227265706c69636173223a312c227374657073223a322c"
+      "2273616d706c65223a312c227370616365223a22343434222c227065725f63656c6c223a"
+      "322c2273656564223a32343330312c2274656d7065726174757265223a3330302c22666f"
+      "7263656669656c64223a226e61222c22656e67696e65223a226379636c65222c22647422"
+      "3a322c226577616c64223a66616c73652c2274687265616473223a312c2263656c6c7322"
+      "3a22323232222c22706573223a312c2273706573223a312c22776f726b657273223a312c"
+      "2270726f635f776f726b657273223a322c226e616976655f7469636b223a747275652c22"
+      "62617463685f776f726b657273223a312c22737570657276697365223a66616c73652c22"
+      "636865636b706f696e745f6576657279223a302c226d61785f7265737461727473223a33"
+      "2c22616c6c6f775f6465677261646564223a66616c73652c2272657475726e5f73746174"
+      "65223a747275657d7d";
+  TempDir dir;
+  write_bytes(journal_file(dir.path), frame_fuzz::unhex(recorded));
+
+  JobRequest plain = small_job(24301);
+  plain.engine = "cycle";
+  plain.space = "444";
+  plain.cells = "222";
+  plain.per_cell = 2;
+  plain.steps = 2;
+  plain.sample = 1;
+  const JobResult want = execute_job(0, plain);
+  ASSERT_EQ(want.outcome, JobOutcome::kOk);
+  ASSERT_EQ(want.replicas.size(), 1u);
+
+  ServerConfig config = durable_config(dir.path);
+  config.queue_workers = 1;
+  Server server(config);
+  server.start();
+  wait_not_recovering(server);
+  EXPECT_EQ(server.recovery_report().tail, JournalTail::kClean);
+  EXPECT_EQ(server.jobs_recovered(), 1u);
+  Client client("127.0.0.1", server.port());
+  const JobResult got = poll_done(client, 1);
+  ASSERT_EQ(got.outcome, JobOutcome::kOk);
+  ASSERT_EQ(got.replicas.size(), 1u);
+  EXPECT_EQ(got.replicas[0].state_crc32, want.replicas[0].state_crc32);
+  EXPECT_EQ(canon(got), canon(want));
+  server.drain_and_stop();
 }
 
 // The tentpole resume path: a supervised job that crashed after banking a

@@ -164,10 +164,13 @@ TEST(TickElision, ElidedWindowsUnderHighLinkLatency) {
   auto config = multi_node_config();
   config.channel.link_latency = 800;
   const RunResult want = run_cluster(config, 1, sim::TickMode::kNaive, 1);
-  const RunResult got = run_cluster(config, 1, sim::TickMode::kElide, 1);
-  EXPECT_GT(got.elision.elided_cycles, 0u)
-      << "long links should produce whole elided windows";
-  expect_identical(got, want, "link_latency=800");
+  for (const int workers : {1, 4}) {
+    const RunResult got = run_cluster(config, workers, sim::TickMode::kElide, 1);
+    EXPECT_GT(got.elision.elided_cycles, 0u)
+        << "long links should produce whole elided windows";
+    expect_identical(got, want,
+                     "link_latency=800 workers=" + std::to_string(workers));
+  }
 }
 
 TEST(TickElision, BulkSyncBarrierWakeIsBitwiseSafe) {
@@ -237,6 +240,15 @@ TEST(TickElision, CrashRecoveryBitwiseIdenticalAcrossWorkerCounts) {
     ASSERT_TRUE(got.completed) << got.final_error;
     EXPECT_EQ(got.restarts, want.restarts);
     EXPECT_EQ(got.steps, want.steps);
+    // The crash is detected as the same typed failure, on the same node, at
+    // the same cycle, with the same message.
+    ASSERT_EQ(got.incidents.size(), want.incidents.size());
+    for (std::size_t i = 0; i < want.incidents.size(); ++i) {
+      EXPECT_EQ(got.incidents[i].kind, want.incidents[i].kind);
+      EXPECT_EQ(got.incidents[i].node, want.incidents[i].node);
+      EXPECT_EQ(got.incidents[i].detected_at, want.incidents[i].detected_at);
+      EXPECT_EQ(got.incidents[i].error, want.incidents[i].error);
+    }
     ASSERT_EQ(got.final_state.size(), want.final_state.size());
     std::size_t bad = 0;
     for (std::size_t i = 0; i < want.final_state.size(); ++i) {

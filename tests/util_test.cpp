@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-
 #include <atomic>
 #include <cmath>
 #include <numeric>
@@ -384,8 +382,7 @@ struct ProtocolName {
   }
 };
 
-using Protocols = ::testing::Types<serve::WireProtocol, serve::JournalProtocol,
-                                   shard::ShardProtocol>;
+using Protocols = ::testing::Types<serve::WireProtocol, serve::JournalProtocol>;
 TYPED_TEST_SUITE(FrameCodecFuzz, Protocols, ProtocolName);
 
 TYPED_TEST(FrameCodecFuzz, RandomFramesRoundTrip) {
@@ -427,16 +424,8 @@ std::string hex(const Bytes& bytes) {
   return out;
 }
 
-Bytes unhex(std::string_view text) {
-  Bytes out;
-  for (std::size_t i = 0; i + 1 < text.size(); i += 2) {
-    out.push_back(static_cast<std::uint8_t>(
-        std::stoi(std::string(text.substr(i, 2)), nullptr, 16)));
-  }
-  return out;
-}
-
-// Bytes recorded from the three hand-written codecs this module replaced.
+// Bytes recorded from the hand-written wire and journal codecs this module
+// replaced.
 // A mismatch means the frame format changed under every peer and every
 // state directory on disk.
 TEST(FrameGolden, EncodeReproducesRecordedBytes) {
@@ -446,15 +435,6 @@ TEST(FrameGolden, EncodeReproducesRecordedBytes) {
   EXPECT_EQ(hex(serve::encode_journal_record(serve::JournalRecord::kCompleted,
                                              payload)),
             "0a00000060d0268b047b226a6f62223a377d");
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  shard::Channel reader(fds[0]);
-  shard::Channel(fds[1]).send(shard::FrameType::kReport, payload);
-  Bytes sent(64);
-  const ssize_t n = ::recv(reader.fd(), sent.data(), sent.size(), 0);
-  ASSERT_GT(n, 0);
-  sent.resize(static_cast<std::size_t>(n));
-  EXPECT_EQ(hex(sent), "0a000000ed8b2d7a0b7b226a6f62223a377d");
 }
 
 // A journal holding one record of every type, as written before the
@@ -493,24 +473,6 @@ TEST(FrameGolden, RecordedJournalRecoversClean) {
   EXPECT_EQ(replayed, journal);
   EXPECT_EQ(report.entries[1].payload, "{\"job\":1}");
   EXPECT_EQ(report.entries[5].payload, "{}");
-}
-
-// The shard's error policy: a damaged frame is a dead worker, reported as
-// the same TransportError a closed socket raises.
-TEST(ShardChannel, DamagedFrameThrowsTransportError) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  shard::Channel reader(fds[0]);
-  {
-    shard::Channel writer(fds[1]);
-    writer.send(shard::FrameType::kWake, "ok");
-    Bytes bad = encode<shard::ShardProtocol>(
-        static_cast<std::uint8_t>(shard::FrameType::kWake), "bad");
-    bad.back() ^= 1;
-    writer.send_raw(bad.data(), bad.size());
-  }
-  EXPECT_EQ(shard::recv_frame(reader).payload, "ok");
-  EXPECT_THROW(shard::recv_frame(reader), shard::TransportError);
 }
 
 }  // namespace

@@ -164,26 +164,23 @@ void killer_loop(const Options& opt, const std::atomic<int>& finished,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+int loadgen_main(const util::Cli& cli) {
   Options opt;
   opt.host = cli.get_or("host", opt.host);
   opt.port = static_cast<std::uint16_t>(cli.get_or("port", 0L));
   opt.clients = static_cast<int>(cli.get_or("clients", 4L));
   opt.jobs = static_cast<int>(cli.get_or("jobs", 8L));
-  opt.mix = cli.has("mix");
-  opt.crash_one = cli.has("crash-one");
+  opt.mix = cli.has_switch("mix");
+  opt.crash_one = cli.has_switch("crash-one");
   opt.replicas = static_cast<int>(cli.get_or("replicas", 2L));
   opt.steps = static_cast<int>(cli.get_or("steps", 4L));
   opt.tenant = cli.get_or("tenant", opt.tenant);
   opt.retries = static_cast<int>(cli.get_or("retries", 50L));
-  opt.verify = cli.has("verify");
+  opt.verify = cli.has_switch("verify");
   opt.kill_every = static_cast<int>(cli.get_or("kill-every", 0L));
   opt.max_kills = static_cast<int>(cli.get_or("max-kills", 5L));
   opt.pid_file = cli.get_or("pid-file", "");
-  opt.idempotent = cli.has("idempotent");
+  opt.idempotent = cli.has_switch("idempotent");
   opt.supervise_every =
       static_cast<int>(cli.get_or("supervise-every", 0L));
   if (opt.port == 0) {
@@ -329,4 +326,15 @@ int main(int argc, char** argv) {
                     verify_failures == 0 &&
                     (!durable || kills.load() > 0);
   return pass ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::Cli::run(
+      argc, argv, "fasda_loadgen",
+      {"host", "port", "clients", "jobs", "mix", "crash-one", "replicas",
+       "steps", "tenant", "retries", "verify", "kill-every", "max-kills",
+       "pid-file", "idempotent", "supervise-every"},
+      loadgen_main);
 }

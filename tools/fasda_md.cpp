@@ -27,13 +27,6 @@
 //   --cells XYZ        cells per FPGA (default = --space: single node)
 //   --pes N --spes N   strong-scaling variant (defaults 1, 1)
 //   --workers N        cycle-scheduler threads (default 1; 0 = all cores)
-//   --proc-workers N   run the shard slices in N forked worker processes
-//                      over socketpairs instead of threads (DESIGN.md
-//                      section 14; default 0 = in-process). Bitwise
-//                      identical results; mutually exclusive with
-//                      --workers > 1. A worker process dying mid-run
-//                      surfaces as an unrecovered node failure (exit 3, or
-//                      a supervised restart under --supervise).
 //   --faults SPEC      lossy-fabric model + ack/retransmit recovery
 //                      (DESIGN.md section 10). SPEC is a comma list:
 //                      drop=0.05,dup=0.02,reorder=0.02,corrupt=0.01,seed=7,
@@ -66,7 +59,8 @@
 // component then ticks every cycle, with bitwise-identical results.
 //
 // Exit codes: 0 = completed; 1 = usage/config error (an unknown flag, a
-// malformed number or an unknown --forcefield included); 2 = unrecovered
+// malformed number, an unknown --forcefield or a --restart state whose
+// element ids the force field lacks included); 2 = unrecovered
 // degraded link; 3 = unrecovered node failure; 4 = completed, but in
 // degraded (re-sharded) mode after a permanent node death.
 
@@ -122,27 +116,15 @@ int run(const fasda::util::Cli& cli) {
   if (auto level = cli.get("log-level")) {
     util::set_log_level(util::parse_log_level(*level));
   }
-  // A bare switch followed by a word would take it as its value under the
-  // --key value grammar; refuse that instead of dropping the word.
-  auto has_switch = [&](const std::string& name) {
-    const auto v = cli.get(name);
-    if (v && !v->empty()) {
-      throw std::invalid_argument("--" + name + " takes no value, got '" +
-                                  *v + "'");
-    }
-    return v.has_value();
-  };
-
   engine::EngineSpec spec;
   spec.engine = cli.get_or("engine", "functional");
   spec.dt = cli.get_or("dt", 2.0);
   spec.threads = static_cast<std::size_t>(cli.get_or("threads", 1L));
-  spec.terms.ewald_real = has_switch("ewald");
+  spec.terms.ewald_real = cli.has_switch("ewald");
   if (auto cells = cli.get("cells")) spec.cells_per_node = util::parse_dims(*cells);
   spec.pes_per_spe = static_cast<int>(cli.get_or("pes", 1L));
   spec.spes = static_cast<int>(cli.get_or("spes", 1L));
   spec.num_worker_threads = static_cast<int>(cli.get_or("workers", 1L));
-  spec.proc_workers = static_cast<int>(cli.get_or("proc-workers", 0L));
   if (auto faults = cli.get("faults")) {
     spec.faults = net::FaultPlan::parse(*faults);
   }
@@ -221,12 +203,12 @@ int run(const fasda::util::Cli& cli) {
     observers.push_back(&metrics.emplace(hub, *metrics_out, metrics_every));
   }
 
-  if (has_switch("supervise")) {
+  if (cli.has_switch("supervise")) {
     supervisor::SupervisorConfig scfg;
     scfg.checkpoint_every =
         static_cast<int>(cli.get_or("checkpoint-every", static_cast<long>(sample)));
     scfg.max_restarts = static_cast<int>(cli.get_or("max-restarts", 3L));
-    scfg.allow_degraded = has_switch("allow-degraded");
+    scfg.allow_degraded = cli.has_switch("allow-degraded");
 
     std::printf("fasda_md: %s engine (supervised), %zu particles (%dx%dx%d "
                 "cells), %d steps\n",
@@ -333,23 +315,14 @@ int run(const fasda::util::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const fasda::util::Cli cli(argc, argv);
   // Every flag this driver reads; anything else (a typo, a retired flag) is
   // an error rather than a silently ignored default.
-  if (const auto bad = cli.first_unknown(
-          {"log-level", "engine", "dt", "threads", "ewald", "cells", "pes",
-           "spes", "workers", "proc-workers", "faults", "space", "per-cell",
-           "steps", "sample", "forcefield", "restart", "seed", "temperature",
-           "trace-out", "metrics-out", "metrics-every", "xyz", "checkpoint",
-           "supervise", "checkpoint-every", "max-restarts",
-           "allow-degraded"})) {
-    std::fprintf(stderr, "fasda_md: unknown argument '%s'\n", bad->c_str());
-    return 1;
-  }
-  try {
-    return run(cli);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "fasda_md: %s\n", e.what());
-    return 1;
-  }
+  return fasda::util::Cli::run(
+      argc, argv, "fasda_md",
+      {"log-level", "engine", "dt", "threads", "ewald", "cells", "pes",
+       "spes", "workers", "faults", "space", "per-cell", "steps", "sample",
+       "forcefield", "restart", "seed", "temperature", "trace-out",
+       "metrics-out", "metrics-every", "xyz", "checkpoint", "supervise",
+       "checkpoint-every", "max-restarts", "allow-degraded"},
+      run);
 }

@@ -49,9 +49,10 @@
 
 using namespace fasda;
 
-int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  if (cli.has("help")) {
+namespace {
+
+int serve_main(const util::Cli& cli) {
+  if (cli.has_switch("help")) {
     std::printf(
         "usage: fasda_serve [--host ADDR] [--port P] [--queue-workers N]\n"
         "                   [--queue-cap N] [--tenant-quota N]\n"
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
   }
   const std::string pid_file = cli.get_or("pid-file", "");
 
-  config.wall_obs = !cli.has("no-wall-obs");
+  config.wall_obs = !cli.has_switch("no-wall-obs");
   config.metrics_out = cli.get_or("metrics-out", "");
   config.metrics_every_seconds =
       static_cast<int>(cli.get_or("metrics-every", 5L));
@@ -172,4 +173,16 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(server.jobs_recovered()));
   util::close_json_log();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::Cli::run(
+      argc, argv, "fasda_serve",
+      {"help", "host", "port", "queue-workers", "queue-cap", "tenant-quota",
+       "recv-timeout", "send-timeout", "state-dir", "journal-fsync",
+       "pid-file", "no-wall-obs", "metrics-out", "metrics-every", "trace-out",
+       "log-level", "log-json"},
+      serve_main);
 }

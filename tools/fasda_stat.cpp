@@ -6,7 +6,9 @@
 // text exposition with --format prometheus. --ping instead prints the
 // enriched kPong health body (queue depth, workers, journal/fsync state,
 // recovery counters, uptime). Exit codes: 0 scraped, 1 connection or
-// protocol failure, 2 bad usage — so CI can assert a live daemon scrapes.
+// protocol failure (or an unread flag or malformed number, like every
+// tool), 2 a missing --port or bad --format — so CI can assert a live
+// daemon scrapes.
 //
 // Usage:
 //   fasda_stat [--host 127.0.0.1] --port P [--format json|prometheus]
@@ -20,9 +22,10 @@
 
 using namespace fasda;
 
-int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  if (cli.has("help")) {
+namespace {
+
+int stat_main(const util::Cli& cli) {
+  if (cli.has_switch("help")) {
     std::printf(
         "usage: fasda_stat [--host ADDR] --port P\n"
         "                  [--format json|prometheus] [--ping]\n"
@@ -49,7 +52,7 @@ int main(int argc, char** argv) {
     serve::RetryPolicy policy;
     policy.max_attempts = static_cast<int>(cli.get_or("retries", 5L));
     serve::Client client(host, static_cast<std::uint16_t>(port), policy);
-    body = cli.has("ping") ? client.ping() : client.stats(format);
+    body = cli.has_switch("ping") ? client.ping() : client.stats(format);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fasda_stat: %s\n", e.what());
     return 1;
@@ -69,4 +72,13 @@ int main(int argc, char** argv) {
   std::fwrite(body.data(), 1, body.size(), stdout);
   if (body.empty() || body.back() != '\n') std::fputc('\n', stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::Cli::run(
+      argc, argv, "fasda_stat",
+      {"help", "host", "port", "format", "ping", "out", "retries"},
+      stat_main);
 }
