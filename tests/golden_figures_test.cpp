@@ -13,12 +13,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <numbers>
+#include <string>
 
 #include "../bench/bench_common.hpp"
 #include "fasda/md/energy.hpp"
 #include "fasda/model/perf_models.hpp"
+#include "fasda/net/fault.hpp"
 
 namespace fasda {
 namespace {
@@ -176,6 +181,192 @@ TEST(GoldenFigures, FasdaBestVsBestGpuNearPaperRatio) {
   const double ratio = rate_c / gpu_best;
   EXPECT_GE(ratio, 4.4) << "FASDA-vs-GPU advantage collapsed (paper: 4.67x)";
   EXPECT_LE(ratio, 4.9) << "FASDA-vs-GPU advantage inflated (paper: 4.67x)";
+}
+
+// ---------------------------------------------------------------------------
+// Exact pins. Every count below is a deterministic function of the
+// configuration: total cycles, pairs issued, the ten Fig. 17 utilization
+// fields (compared as IEEE-754 bit patterns, so a change in any underlying
+// work/capacity/active counter shows) and the Fig. 18 per-channel packet
+// totals. A change meant to keep simulated behaviour (perf work, refactors)
+// must pass these untouched under both tick modes; a change meant to move a
+// count must update the pin it moves and say why.
+
+struct ExactFigures {
+  sim::Cycle cycles = 0;
+  std::uint64_t pairs = 0;
+  // pr/fr/filter/pe/mu, hardware then time utilization, as double bits.
+  std::uint64_t util_bits[10] = {};
+  // positions/forces/migrations: data, control, retransmitted packets.
+  std::uint64_t packets[3][3] = {};
+
+  bool operator==(const ExactFigures&) const = default;
+};
+
+void PrintTo(const ExactFigures& f, std::ostream* os) {
+  char buf[64];
+  *os << "{" << f.cycles << "u, " << f.pairs << "u, {";
+  for (int i = 0; i < 10; ++i) {
+    std::snprintf(buf, sizeof buf, "%s0x%016llxu", i == 0 ? "" : ", ",
+                  static_cast<unsigned long long>(f.util_bits[i]));
+    *os << buf;
+  }
+  *os << "}, {";
+  for (int c = 0; c < 3; ++c) {
+    *os << (c == 0 ? "{" : ", {") << f.packets[c][0] << "u, "
+        << f.packets[c][1] << "u, " << f.packets[c][2] << "u}";
+  }
+  *os << "}}";
+}
+
+ExactFigures exact_figures(const md::SystemState& state, md::ForceField ff,
+                           const core::ClusterConfig& config, int steps) {
+  core::Simulation sim(state, std::move(ff), config);
+  sim.run(steps);
+  ExactFigures f;
+  f.cycles = sim.total_cycles();
+  f.pairs = sim.pairs_issued();
+  const core::UtilizationReport u = sim.utilization();
+  const double fields[10] = {u.pr_hardware,     u.pr_time,  u.fr_hardware,
+                             u.fr_time,         u.filter_hardware,
+                             u.filter_time,     u.pe_hardware,
+                             u.pe_time,         u.mu_hardware,
+                             u.mu_time};
+  for (int i = 0; i < 10; ++i) {
+    f.util_bits[i] = std::bit_cast<std::uint64_t>(fields[i]);
+  }
+  const core::TrafficReport t = sim.traffic();
+  const net::TrafficMatrix* channels[3] = {&t.positions, &t.forces,
+                                           &t.migrations};
+  for (int c = 0; c < 3; ++c) {
+    f.packets[c][0] = channels[c]->total_packets;
+    f.packets[c][1] = channels[c]->control_packets;
+    f.packets[c][2] = channels[c]->retransmit_packets;
+  }
+  return f;
+}
+
+/// The dataset the perfbench cycle workloads build for a job (sodium, or
+/// NaCl with alternating elements), at a fixed seed.
+md::SystemState perfbench_dataset(geom::IVec3 space, int per_cell, bool nacl) {
+  md::DatasetParams params;
+  params.particles_per_cell = per_cell;
+  params.seed = 1;
+  params.temperature = 300.0;
+  if (nacl) params.elements = md::ElementAssignment::kAlternating;
+  return md::generate_dataset(space, 8.5,
+                              nacl ? md::ForceField::sodium_chloride()
+                                   : md::ForceField::sodium(),
+                              params);
+}
+
+core::ClusterConfig single_node_333() {
+  core::ClusterConfig config;
+  config.cells_per_node = {3, 3, 3};
+  return config;
+}
+
+TEST(GoldenFigures, ExactPerfbenchDense) {
+  const ExactFigures expected{
+      1681u, 4689u,
+      {0x3fd97f6c68b04f04u, 0x3fe07285b5fca64du, 0x3fdd73ace49c0844u,
+       0x3fe74ce81725eb98u, 0x3fd8ed67453e1eddu, 0x3fdd31d24d3781cau,
+       0x3fba729fb3a6dc02u, 0x3fe42250eabae935u, 0x3f937e3fa847e18bu,
+       0x3f937e3fa847e18bu},
+      {{0u, 0u, 0u}, {0u, 0u, 0u}, {0u, 0u, 0u}}};
+  EXPECT_EQ(exact_figures(perfbench_dataset({3, 3, 3}, 4, false),
+                          md::ForceField::sodium(), single_node_333(), 8),
+            expected);
+}
+
+TEST(GoldenFigures, ExactPerfbenchSparse) {
+  core::ClusterConfig config = single_node_333();
+  config.node_dims = {2, 1, 1};
+  const ExactFigures expected{
+      2784u, 1089u,
+      {0x3fb08d3dcb08d3ddu, 0x3fc1d6cdfa1d6ce0u, 0x3faa7256982bb7b3u,
+       0x3fc96cdfa1d6cdfau, 0x3fcf417d05f417d0u, 0x3fac1e1445501a28u,
+       0x3f7daba5c3300fb2u, 0x3fc26f991ed79146u, 0x3f678a4c8178a4c8u,
+       0x3f678a4c8178a4c8u},
+      {{40u, 0u, 0u}, {17u, 0u, 0u}, {8u, 0u, 0u}}};
+  EXPECT_EQ(exact_figures(perfbench_dataset({6, 3, 3}, 2, false),
+                          md::ForceField::sodium(), config, 4),
+            expected);
+}
+
+TEST(GoldenFigures, ExactPerfbenchMixNaCl) {
+  const ExactFigures expected{
+      1799u, 12487u,
+      {0x3fd7d346d88050aau, 0x3fdbe41be41be41cu, 0x3fe7c069625eef6fu,
+       0x3fe9ef355cec385au, 0x3fe8581a46b6c63bu, 0x3fdbeee71b99e6c7u,
+       0x3fd073f2fe1ba0a6u, 0x3fe0d671587978fcu, 0x3f9236eda4a48012u,
+       0x3f9236eda4a48012u},
+      {{0u, 0u, 0u}, {0u, 0u, 0u}, {0u, 0u, 0u}}};
+  EXPECT_EQ(exact_figures(perfbench_dataset({3, 3, 3}, 8, true),
+                          md::ForceField::sodium_chloride(), single_node_333(),
+                          4),
+            expected);
+}
+
+TEST(GoldenFigures, ExactStrongScalingA) {
+  const ExactFigures expected{
+      26977u, 1036286u,
+      {0x3fc0f014efa39142u, 0x3fc72ce04b9ce417u, 0x3fcbdaa73df2ed77u,
+       0x3fe40bd7cd5d1a25u, 0x3fe83cc40fb0e925u, 0x3fedef81d3a55156u,
+       0x3fe334f3a7718133u, 0x3fedf60cd94fa07fu, 0x3f736f43e0fcf42fu,
+       0x3f736f43e0fcf42fu},
+      {{8960u, 0u, 0u}, {9288u, 0u, 0u}, {112u, 0u, 0u}}};
+  EXPECT_EQ(exact_figures(bench::standard_dataset({4, 4, 4}),
+                          md::ForceField::sodium(), bench::strong_config(1, 1),
+                          2),
+            expected);
+}
+
+TEST(GoldenFigures, ExactStrongScalingB) {
+  const ExactFigures expected{
+      13596u, 1036286u,
+      {0x3fd0cdcc2a69535cu, 0x3fd6fdd0da1dacb3u, 0x3fdba245e90529d1u,
+       0x3fe9ef5ae81fef21u, 0x3fe8776265afa528u, 0x3fe39d2c29128d8bu,
+       0x3fd9681981d1f4e7u, 0x3fe3c17bfee53667u, 0x3f8347ed52521840u,
+       0x3f8347ed52521840u},
+      {{8960u, 0u, 0u}, {9289u, 0u, 0u}, {112u, 0u, 0u}}};
+  EXPECT_EQ(exact_figures(bench::standard_dataset({4, 4, 4}),
+                          md::ForceField::sodium(), bench::strong_config(3, 1),
+                          2),
+            expected);
+}
+
+TEST(GoldenFigures, ExactStrongScalingC) {
+  const ExactFigures expected{
+      7498u, 1036286u,
+      {0x3fce7860ef26186au, 0x3fd6c256b8c7644fu, 0x3fd90dd4dbf020a8u,
+       0x3fe7de0ffa898697u, 0x3fe8857c23936922u, 0x3fe1be2dd787a2f3u,
+       0x3fd708e36f251fccu, 0x3fe2037a12129e77u, 0x3f917b1e1d16e01cu,
+       0x3f917b1e1d16e01cu},
+      {{8960u, 0u, 0u}, {9285u, 0u, 0u}, {112u, 0u, 0u}}};
+  EXPECT_EQ(exact_figures(bench::standard_dataset({4, 4, 4}),
+                          md::ForceField::sodium(), bench::strong_config(3, 2),
+                          2),
+            expected);
+}
+
+TEST(GoldenFigures, ExactLossyLinks2x2x2) {
+  // Design C on the 2x2x2 torus with every link dropping, duplicating,
+  // reordering and corrupting packets: the retransmit protocol's own
+  // traffic is pinned alongside the data packets.
+  auto config = bench::strong_config(3, 2);
+  config.faults =
+      net::FaultPlan::parse("drop=0.1,dup=0.05,reorder=0.05,corrupt=0.05,seed=7");
+  const ExactFigures expected{
+      24128u, 60715u,
+      {0x3f92f01485b2497du, 0x3fa3611a7b9611a8u, 0x3f94ea454339b805u,
+       0x3fb2b061c8517c44u, 0x3fd07d443295b656u, 0x3fa0662ea0b51425u,
+       0x3f7ad75ed707ec15u, 0x3fa83e6323fd48a8u, 0x3f55babcc647fa91u,
+       0x3f55babcc647fa91u},
+      {{3947u, 3652u, 1707u}, {2512u, 2376u, 905u}, {150u, 142u, 38u}}};
+  EXPECT_EQ(exact_figures(bench::standard_dataset({4, 4, 4}, 16),
+                          md::ForceField::sodium(), config, 2),
+            expected);
 }
 
 }  // namespace
