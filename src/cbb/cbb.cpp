@@ -1,305 +1,323 @@
 #include "fasda/cbb/cbb.hpp"
 
 #include <cassert>
+#include <limits>
 
 namespace fasda::cbb {
 
-FcProbe::Fn FcProbe::hook;
-
-// ---------------------------------------------------------------- stations
-
-class Cbb::PosStation : public ring::Station<ring::PosToken> {
- public:
-  PosStation(Cbb* cbb, int spe) : cbb_(cbb), spe_(spe) {}
-
-  Action classify(const ring::PosToken& t) const override {
-    if (!cbb_->map_.accepts_position(t.src_lcid, cbb_->lcell_)) {
-      return Action::kPass;
-    }
-    return t.deliveries_remaining <= 1 ? Action::kDeliverAndDrop
-                                       : Action::kDeliver;
-  }
-
-  bool try_deliver(ring::PosToken& t) override {
-    auto& fifo = *cbb_->arrivals_[spe_];
-    if (!fifo.can_push()) return false;
-    pe::Reference ref;
-    ref.pos = md::rebase(
-        t.offset, cbb_->map_.lcid_to_rcid(t.src_lcid, cbb_->lcell_) -
-                      geom::IVec3{2, 2, 2});
-    ref.elem = t.elem;
-    ref.is_home = false;
-    ref.src_lcid = t.src_lcid;
-    ref.slot = t.slot;
-    fifo.push(ref);
-    t.deliveries_remaining--;
-    return true;
-  }
-
-  sim::Fifo<ring::PosToken>* inject_source() override {
-    return cbb_->pr_inject_[spe_].get();
-  }
-
- private:
-  Cbb* cbb_;
-  int spe_;
-};
-
-class Cbb::FrcStation : public ring::Station<ring::ForceToken> {
- public:
-  FrcStation(Cbb* cbb, int spe) : cbb_(cbb), spe_(spe) {}
-
-  Action classify(const ring::ForceToken& t) const override {
-    return t.dest_lcid == cbb_->lcell_ ? Action::kDeliverAndDrop : Action::kPass;
-  }
-
-  bool try_deliver(ring::ForceToken& t) override {
-    // The FC-N write port accepts one ring delivery per cycle, which is the
-    // most the FRN can hand over anyway.
-    assert(t.slot < cbb_->forces_.size());
-    if (FcProbe::hook) FcProbe::hook(cbb_->gcell_, t.slot, t.force, -1);
-    cbb_->forces_[t.slot].add(t.force);
-    return true;
-  }
-
-  sim::Fifo<ring::ForceToken>* inject_source() override {
-    return cbb_->fr_inject_[spe_].get();
-  }
-
- private:
-  Cbb* cbb_;
-  int spe_;
-};
-
-class Cbb::MuStation : public ring::Station<ring::MigrateToken> {
- public:
-  explicit MuStation(Cbb* cbb) : cbb_(cbb) {}
-
-  Action classify(const ring::MigrateToken& t) const override {
-    return t.dest_lcid == cbb_->lcell_ ? Action::kDeliverAndDrop : Action::kPass;
-  }
-
-  bool try_deliver(ring::MigrateToken& t) override {
-    return cbb_->mu_arrivals_->push(t);
-  }
-
-  sim::Fifo<ring::MigrateToken>* inject_source() override {
-    return cbb_->mu_inject_.get();
-  }
-
- private:
-  Cbb* cbb_;
-};
+const CellArray::PosRoute CellArray::kNoRoute{};
 
 // ---------------------------------------------------------------- lifecycle
 
-Cbb::Cbb(std::string name, const CbbConfig& config, const md::Datapath& datapath,
-         const idmap::ClusterMap& map, geom::IVec3 node, geom::IVec3 lcell)
+CellArray::CellArray(std::string name, const CbbConfig& config,
+                     const md::Datapath& datapath,
+                     const idmap::ClusterMap& map, geom::IVec3 node,
+                     const std::vector<geom::IVec3>& lcells)
     : Component(std::move(name)),
       config_(config),
       datapath_(datapath),
       map_(map),
-      node_(node),
-      lcell_(lcell),
-      gcell_(map.global_cell(node, lcell)) {
-  // How many of this cell's 13 forward neighbour cells live on this node
-  // (the multicast count for locally injected position tokens).
-  for (const geom::IVec3& d : geom::half_shell_offsets()) {
-    const geom::IVec3 target = map_.grid().wrap(gcell_ + d);
-    if (map_.node_of_cell(target) == node_) ++local_pos_deliveries_;
-  }
-  has_remote_dests_ = !map_.remote_destinations(gcell_).empty();
-
-  for (int s = 0; s < config_.spes; ++s) {
-    pr_inject_.push_back(
-        std::make_unique<sim::Fifo<ring::PosToken>>(config_.fifo_depth));
-    fr_inject_.push_back(
-        std::make_unique<sim::Fifo<ring::ForceToken>>(config_.fifo_depth));
-    arrivals_.push_back(std::make_unique<sim::Fifo<pe::Reference>>(
-        config_.arrival_buffer_depth));
-    dispatch_.emplace_back();
-    pos_stations_.push_back(std::make_unique<PosStation>(this, s));
-    frc_stations_.push_back(std::make_unique<FrcStation>(this, s));
-    for (int k = 0; k < config_.pes_per_spe; ++k) {
-      const int fc_index = s * (config_.pes_per_spe + 1) + k;
-      pes_.push_back(std::make_unique<pe::ProcessingElement>(
-          Component::name() + "/pe" + std::to_string(s) + "." + std::to_string(k),
-          config_.pe, datapath_, &particles_, this, fc_index));
+      cells_(lcells.size()),
+      particles_(lcells.size()),
+      forces_(lcells.size()),
+      migrated_(lcells.size()),
+      pr_inject_(lcells.size() * static_cast<std::size_t>(config.spes),
+                 sim::Fifo<ring::PosToken>(config.fifo_depth)),
+      fr_inject_(lcells.size() * static_cast<std::size_t>(config.spes),
+                 sim::Fifo<ring::ForceToken>(config.fifo_depth)),
+      arrivals_(lcells.size() * static_cast<std::size_t>(config.spes),
+                sim::Queue<pe::PeArray::RefSlot>(config.arrival_buffer_depth)),
+      dispatch_(lcells.size() * static_cast<std::size_t>(config.spes),
+                sim::Queue<pe::PeArray::RefSlot>(
+                    std::numeric_limits<std::size_t>::max())),
+      mu_inject_(lcells.size(), sim::Fifo<ring::MigrateToken>(config.fifo_depth)),
+      mu_arrivals_(lcells.size(),
+                   sim::Queue<ring::MigrateToken>(config.fifo_depth)),
+      pes_(config.pe, datapath,
+           static_cast<int>(lcells.size()) * config.spes * config.pes_per_spe,
+           config.pes_per_spe) {
+  for (std::size_t c = 0; c < lcells.size(); ++c) {
+    CellState& cell = cells_[c];
+    cell.lcell = lcells[c];
+    cell.gcell = map_.global_cell(node, lcells[c]);
+    // How many of this cell's 13 forward neighbour cells live on this node
+    // (the multicast count for locally injected position tokens).
+    for (const geom::IVec3& d : geom::half_shell_offsets()) {
+      const geom::IVec3 target = map_.grid().wrap(cell.gcell + d);
+      if (map_.node_of_cell(target) == node) ++cell.local_pos_deliveries;
+    }
+    cell.has_remote_dests = !map_.remote_destinations(cell.gcell).empty();
+    mu_stations_.emplace_back(this, static_cast<int>(c), 0);
+    for (int s = 0; s < config_.spes; ++s) {
+      pos_stations_.emplace_back(this, static_cast<int>(c), s);
+      frc_stations_.emplace_back(this, static_cast<int>(c), s);
+      for (int k = 0; k < config_.pes_per_spe; ++k) {
+        const int fc_index = s * (config_.pes_per_spe + 1) + k;
+        pes_.bind(first_pe(static_cast<int>(c)) + s * config_.pes_per_spe + k,
+                  &particles_[c], pe::ForceCache{&forces_[c], cell.gcell, fc_index});
+      }
     }
   }
-  mu_station_ = std::make_unique<MuStation>(this);
-  mu_inject_ = std::make_unique<sim::Fifo<ring::MigrateToken>>(config_.fifo_depth);
-  mu_arrivals_ = std::make_unique<sim::Fifo<ring::MigrateToken>>(config_.fifo_depth);
-}
 
-Cbb::~Cbb() = default;
-
-std::vector<sim::Component*> Cbb::components() {
-  std::vector<sim::Component*> out{this};
-  for (auto& p : pes_) out.push_back(p.get());
-  return out;
-}
-
-std::vector<sim::Clocked*> Cbb::clocked() {
-  std::vector<sim::Clocked*> out;
-  for (auto& f : pr_inject_) out.push_back(f.get());
-  for (auto& f : fr_inject_) out.push_back(f.get());
-  for (auto& f : arrivals_) out.push_back(f.get());
-  out.push_back(mu_inject_.get());
-  out.push_back(mu_arrivals_.get());
-  for (auto& p : pes_) {
-    out.push_back(&p->input());
-    out.push_back(&p->output());
+  // Position routes. The halo frame is the node's block plus one cell on
+  // each side; every LCID a position token can carry on this node's rings
+  // maps into it one-to-one (wrapping through the global grid).
+  const geom::IVec3 cpn = map_.cells_per_node();
+  const geom::IVec3 g = map_.global_dims();
+  halo_dims_ = {cpn.x + 2, cpn.y + 2, cpn.z + 2};
+  halo_cells_ = static_cast<std::size_t>(halo_dims_.product());
+  const auto axis = [](const geom::IVec3& v, int a) {
+    return a == 0 ? v.x : a == 1 ? v.y : v.z;
+  };
+  std::vector<int> rep[3];
+  for (int a = 0; a < 3; ++a) {
+    const int dim = axis(g, a);
+    const int block = axis(cpn, a);
+    halo_[a].assign(static_cast<std::size_t>(dim), -1);
+    rep[a].assign(static_cast<std::size_t>(block + 2), -1);
+    for (int v = 0; v < dim; ++v) {
+      int h = -1;
+      if (v < block) {
+        h = v + 1;
+      } else if (v == dim - 1) {
+        h = 0;
+      } else if (v == block) {
+        h = block + 1;
+      }
+      if (h < 0) continue;
+      halo_[a][static_cast<std::size_t>(v)] = static_cast<std::int16_t>(h);
+      rep[a][static_cast<std::size_t>(h)] = v;
+    }
   }
+  pos_routes_.assign(cells_.size() * halo_cells_, PosRoute{});
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    const geom::IVec3& dest = cells_[c].lcell;
+    for (int hx = 0; hx < halo_dims_.x; ++hx) {
+      for (int hy = 0; hy < halo_dims_.y; ++hy) {
+        for (int hz = 0; hz < halo_dims_.z; ++hz) {
+          const geom::IVec3 src{rep[0][static_cast<std::size_t>(hx)],
+                                rep[1][static_cast<std::size_t>(hy)],
+                                rep[2][static_cast<std::size_t>(hz)]};
+          if (src.x < 0 || src.y < 0 || src.z < 0) continue;
+          if (!map_.accepts_position(src, dest)) continue;
+          PosRoute& route =
+              pos_routes_[c * halo_cells_ +
+                          static_cast<std::size_t>(
+                              (hx * halo_dims_.y + hy) * halo_dims_.z + hz)];
+          route.accept = true;
+          route.shift = map_.lcid_to_rcid(src, dest) - geom::IVec3{2, 2, 2};
+        }
+      }
+    }
+  }
+}
+
+std::vector<sim::Clocked*> CellArray::clocked() {
+  std::vector<sim::Clocked*> out;
+  pes_.append_clocked(out);
   return out;
 }
 
-ring::Station<ring::PosToken>& Cbb::pos_station(int spe) {
-  return *pos_stations_[spe];
+template <>
+sim::Fifo<ring::PosToken>& CellArray::injector<ring::PosToken>(int c, int spe) {
+  return pr_inject_[lane(c, spe)];
 }
-ring::Station<ring::ForceToken>& Cbb::frc_station(int spe) {
-  return *frc_stations_[spe];
+template <>
+sim::Fifo<ring::ForceToken>& CellArray::injector<ring::ForceToken>(int c,
+                                                                   int spe) {
+  return fr_inject_[lane(c, spe)];
 }
-ring::Station<ring::MigrateToken>& Cbb::mu_station() { return *mu_station_; }
+template <>
+sim::Fifo<ring::MigrateToken>& CellArray::injector<ring::MigrateToken>(int c,
+                                                                       int) {
+  return mu_inject_[static_cast<std::size_t>(c)];
+}
+
+// ---------------------------------------------------------------- stations
+
+bool CellArray::deliver(int c, int spe, ring::PosToken& t) {
+  const std::size_t l = lane(c, spe);
+  sim::Queue<pe::PeArray::RefSlot>& arrivals = arrivals_[l];
+  if (!arrivals.can_push()) return false;
+  pe::Reference ref;
+  ref.pos = md::rebase(t.offset, pos_route(c, t.src_lcid).shift);
+  ref.elem = t.elem;
+  ref.is_home = false;
+  ref.src_lcid = t.src_lcid;
+  ref.slot = t.slot;
+  arrivals.push(pes_.alloc_ref(static_cast<int>(l), ref));
+  t.deliveries_remaining--;
+  return true;
+}
+
+bool CellArray::deliver(int c, int, ring::ForceToken& t) {
+  // The FC-N write port accepts one ring delivery per cycle, which is the
+  // most the FRN can hand over anyway.
+  std::vector<fixed::ForceAccum>& fc = forces_[static_cast<std::size_t>(c)];
+  assert(t.slot < fc.size());
+  if (FcProbe::hook) FcProbe::hook(cells_[c].gcell, t.slot, t.force, -1);
+  fc[t.slot].add(t.force);
+  return true;
+}
+
+bool CellArray::deliver(int c, int, ring::MigrateToken& t) {
+  return mu_arrivals_[static_cast<std::size_t>(c)].push(t);
+}
 
 // ---------------------------------------------------------------- phases
 
-void Cbb::begin_force_phase() {
+void CellArray::begin_force_phase(int c) {
+  std::vector<pe::CellParticle>& particles = particles_[c];
+  std::vector<std::uint8_t>& migrated = migrated_[c];
   // Fold in migrations before the phase fixes slot numbering.
-  if (!migrated_.empty()) {
+  if (!migrated.empty()) {
     std::size_t w = 0;
-    for (std::size_t r = 0; r < particles_.size(); ++r) {
-      if (r < migrated_.size() && migrated_[r]) continue;
-      particles_[w++] = particles_[r];
+    for (std::size_t r = 0; r < particles.size(); ++r) {
+      if (r < migrated.size() && migrated[r]) continue;
+      particles[w++] = particles[r];
     }
-    particles_.resize(w);
-    migrated_.clear();
+    particles.resize(w);
+    migrated.clear();
   }
-  forces_.assign(particles_.size(), fixed::ForceAccum{});
-  inject_cursor_ = 0;
+  forces_[c].assign(particles.size(), fixed::ForceAccum{});
+  cells_[c].inject_cursor = 0;
   // Intra-cell pairs: every home particle becomes a home reference exactly
   // once, spread round-robin over the SPE dispatch queues.
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
+  for (std::size_t i = 0; i < particles.size(); ++i) {
     pe::Reference ref;
-    ref.pos = particles_[i].pos;
-    ref.elem = particles_[i].elem;
+    ref.pos = particles[i].pos;
+    ref.elem = particles[i].elem;
     ref.is_home = true;
     ref.home_index = static_cast<std::uint16_t>(i);
-    dispatch_[i % dispatch_.size()].push_back(ref);
+    const std::size_t l =
+        lane(c, static_cast<int>(i % static_cast<std::size_t>(config_.spes)));
+    dispatch_[l].push(pes_.alloc_ref(static_cast<int>(l), ref));
   }
-  for (auto& p : pes_) p->reset_phase();
-  phase_ = Phase::kForce;
+  for (int p = first_pe(c); p < first_pe(c + 1); ++p) pes_.reset_phase(p);
+  cells_[c].phase = Phase::kForce;
 }
 
-bool Cbb::force_quiescent() const {
-  if (inject_cursor_ < particles_.size()) return false;
+bool CellArray::force_quiescent(int c) const {
+  if (!positions_injected(c)) return false;
   for (int s = 0; s < config_.spes; ++s) {
-    if (pr_inject_[s]->total_occupancy() != 0) return false;
-    if (fr_inject_[s]->total_occupancy() != 0) return false;
-    if (arrivals_[s]->total_occupancy() != 0) return false;
-    if (!dispatch_[s].empty()) return false;
+    const std::size_t l = lane(c, s);
+    if (pr_inject_[l].total_occupancy() != 0) return false;
+    if (fr_inject_[l].total_occupancy() != 0) return false;
+    if (!arrivals_[l].empty()) return false;
+    if (!dispatch_[l].empty()) return false;
   }
-  for (const auto& p : pes_) {
-    if (!p->quiescent()) return false;
+  for (int p = first_pe(c); p < first_pe(c + 1); ++p) {
+    if (!pes_.quiescent(p)) return false;
   }
   return true;
 }
 
-void Cbb::begin_motion_update() {
-  phase_ = Phase::kMotionUpdate;
-  mu_cursor_ = 0;
-  mu_limit_ = particles_.size();
-  migrated_.assign(particles_.size(), false);
+void CellArray::begin_motion_update(int c) {
+  CellState& cell = cells_[c];
+  cell.phase = Phase::kMotionUpdate;
+  cell.mu_cursor = 0;
+  cell.mu_limit = particles_[c].size();
+  migrated_[c].assign(particles_[c].size(), 0);
 }
 
-bool Cbb::mu_done() const {
-  return phase_ == Phase::kMotionUpdate && mu_cursor_ >= mu_limit_ &&
-         mu_inject_->total_occupancy() == 0;
+bool CellArray::mu_done(int c) const {
+  const CellState& cell = cells_[c];
+  return cell.phase == Phase::kMotionUpdate && cell.mu_cursor >= cell.mu_limit &&
+         mu_inject_[static_cast<std::size_t>(c)].total_occupancy() == 0;
 }
 
 // ---------------------------------------------------------------- per cycle
 
-void Cbb::tick(sim::Cycle) {
-  // Migration arrivals may land in any phase tail; they are already updated
-  // by their previous home cell's MU, so they are appended verbatim.
-  while (!mu_arrivals_->empty()) {
-    const ring::MigrateToken t = mu_arrivals_->pop();
-    particles_.push_back(pe::CellParticle{t.offset, t.vel, t.elem, t.particle_id});
-  }
-
-  switch (phase_) {
-    case Phase::kIdle:
-      mu_util_.record(0, 1, false);
-      break;
-    case Phase::kForce:
-      tick_force_phase();
-      mu_util_.record(0, 1, false);
-      break;
-    case Phase::kMotionUpdate:
-      tick_motion_update();
-      break;
+void CellArray::tick(sim::Cycle now) {
+  for (int c = 0; c < num_cells(); ++c) {
+    CellState& cell = cells_[c];
+    // Migration arrivals may land in any phase tail; they are already
+    // updated by their previous home cell's MU, so they are appended
+    // verbatim.
+    sim::Queue<ring::MigrateToken>& arrivals = mu_arrivals_[c];
+    while (!arrivals.empty()) {
+      const ring::MigrateToken t = arrivals.pop();
+      particles_[c].push_back(
+          pe::CellParticle{t.offset, t.vel, t.elem, t.particle_id});
+    }
+    switch (cell.phase) {
+      case Phase::kIdle:
+        cell.mu_util.record(0, 1, false);
+        break;
+      case Phase::kForce:
+        tick_force_phase(c);
+        cell.mu_util.record(0, 1, false);
+        break;
+      case Phase::kMotionUpdate:
+        tick_motion_update(c);
+        break;
+    }
+    pes_.tick(first_pe(c), first_pe(c + 1), now);
   }
 }
 
-void Cbb::tick_force_phase() {
+void CellArray::tick_force_phase(int c) {
+  CellState& cell = cells_[c];
+  const std::vector<pe::CellParticle>& particles = particles_[c];
   // 1. Home position broadcast: one particle per SPE ring per cycle, taken
   //    in slot order (the PC read port). The same read feeds the P2R chain
   //    when the cell borders another FPGA.
-  if (inject_cursor_ < particles_.size()) {
-    const int spe = static_cast<int>(inject_cursor_) % config_.spes;
-    const pe::CellParticle& p = particles_[inject_cursor_];
-    const bool needs_local_ring = local_pos_deliveries_ > 0;
-    if (!needs_local_ring || pr_inject_[spe]->can_push()) {
+  if (cell.inject_cursor < particles.size()) {
+    const int spe = static_cast<int>(cell.inject_cursor % config_.spes);
+    const pe::CellParticle& p = particles[cell.inject_cursor];
+    const bool needs_local_ring = cell.local_pos_deliveries > 0;
+    sim::Fifo<ring::PosToken>& pr = pr_inject_[lane(c, spe)];
+    if (!needs_local_ring || pr.can_push()) {
+      const auto slot = static_cast<std::uint16_t>(cell.inject_cursor);
       if (needs_local_ring) {
         ring::PosToken token;
-        token.src_lcid = lcell_;
+        token.src_lcid = cell.lcell;
         token.offset = p.pos;
         token.elem = p.elem;
-        token.slot = static_cast<std::uint16_t>(inject_cursor_);
+        token.slot = slot;
         token.deliveries_remaining =
-            static_cast<std::uint8_t>(local_pos_deliveries_);
-        pr_inject_[spe]->push(token);
+            static_cast<std::uint8_t>(cell.local_pos_deliveries);
+        pr.push(token);
       }
-      if (has_remote_dests_ && offer_remote_) {
-        offer_remote_(RemotePosition{
-            gcell_, p.pos, p.elem, static_cast<std::uint16_t>(inject_cursor_)});
+      if (cell.has_remote_dests && cell.offer_remote) {
+        cell.offer_remote(RemotePosition{cell.gcell, p.pos, p.elem, slot});
       }
-      ++inject_cursor_;
+      ++cell.inject_cursor;
     }
   }
 
+  const int per_spe = config_.pes_per_spe;
   for (int s = 0; s < config_.spes; ++s) {
+    const std::size_t l = lane(c, s);
+    const int pe0 = first_pe(c) + s * per_spe;
     // 2. Arrival intake: PRN deliveries queue up for the dispatcher.
-    if (!arrivals_[s]->empty() &&
-        dispatch_[s].size() < config_.arrival_buffer_depth) {
-      dispatch_[s].push_back(arrivals_[s]->pop());
+    sim::Queue<pe::PeArray::RefSlot>& dispatch = dispatch_[l];
+    if (!arrivals_[l].empty() && dispatch.size() < config_.arrival_buffer_depth) {
+      dispatch.push(arrivals_[l].pop());
     }
     // 3. Dispatch: one reference per cycle to the least-loaded PE (Fig. 6's
     //    P-Dispatcher).
-    if (!dispatch_[s].empty()) {
-      pe::ProcessingElement* best = nullptr;
+    if (!dispatch.empty()) {
+      int best = -1;
       std::size_t best_space = 0;
-      for (int k = 0; k < config_.pes_per_spe; ++k) {
-        auto& candidate = pe_at(s, k);
-        const std::size_t space =
-            candidate.input().capacity() - candidate.input().total_occupancy();
+      for (int p = pe0; p < pe0 + per_spe; ++p) {
+        const sim::Fifo<pe::PeArray::RefSlot>& in = pes_.input(p);
+        const std::size_t space = in.capacity() - in.total_occupancy();
         if (space > best_space) {
           best_space = space;
-          best = &candidate;
+          best = p;
         }
       }
-      if (best != nullptr) {
-        best->input().push(dispatch_[s].front());
-        dispatch_[s].pop_front();
-      }
+      if (best >= 0) pes_.input(best).push(dispatch.pop());
     }
     // 4. Force-output arbitration: one retired neighbour force per cycle per
     //    SPE onto its force ring.
-    if (fr_inject_[s]->can_push()) {
-      for (int k = 0; k < config_.pes_per_spe; ++k) {
-        auto& out = pe_at(s, k).output();
+    sim::Fifo<ring::ForceToken>& fr = fr_inject_[l];
+    if (fr.can_push()) {
+      for (int p = pe0; p < pe0 + per_spe; ++p) {
+        sim::Fifo<ring::ForceToken>& out = pes_.output(p);
         if (!out.empty()) {
-          fr_inject_[s]->push(out.pop());
+          fr.push(out.pop());
           break;
         }
       }
@@ -307,103 +325,160 @@ void Cbb::tick_force_phase() {
   }
 }
 
-void Cbb::tick_motion_update() {
-  if (mu_cursor_ >= mu_limit_) {
-    mu_util_.record(0, 1, false);
+void CellArray::tick_motion_update(int c) {
+  CellState& cell = cells_[c];
+  if (cell.mu_cursor >= cell.mu_limit) {
+    cell.mu_util.record(0, 1, false);
     return;
   }
-  pe::CellParticle& p = particles_[mu_cursor_];
+  pe::CellParticle& p = particles_[c][cell.mu_cursor];
   // Leapfrog kick with the adder-tree-combined force, then the quantized
   // drift (§4.2). The particle itself changes only once the update
   // commits, so a migration stalled on the MU ring retries next cycle.
   const md::Motion m = datapath_.motion_update(
-      p.pos, p.vel, forces_[mu_cursor_].to_vec3f(), p.elem);
+      p.pos, p.vel, forces_[c][cell.mu_cursor].to_vec3f(), p.elem);
   if (m.shift == geom::IVec3{0, 0, 0}) {
     p.vel = m.vel;
     p.pos = m.pos;
-    ++mu_cursor_;
-    mu_util_.record(1, 1, true);
+    ++cell.mu_cursor;
+    cell.mu_util.record(1, 1, true);
     return;
   }
   // Migration: LCID arithmetic wraps in the global frame, so the token's
   // destination is valid whether the target cell is local or remote.
-  if (!mu_inject_->can_push()) {
-    mu_util_.record(0, 1, true);  // stalled on the MU ring
+  sim::Fifo<ring::MigrateToken>& mu = mu_inject_[static_cast<std::size_t>(c)];
+  if (!mu.can_push()) {
+    cell.mu_util.record(0, 1, true);  // stalled on the MU ring
     return;
   }
   ring::MigrateToken token;
-  token.dest_lcid = map_.grid().wrap(lcell_ + m.shift);
+  token.dest_lcid = map_.grid().wrap(cell.lcell + m.shift);
   token.offset = m.pos;
   token.vel = m.vel;
   token.elem = p.elem;
   token.particle_id = p.id;
-  mu_inject_->push(token);
-  migrated_[mu_cursor_] = true;
-  ++mu_cursor_;
-  mu_util_.record(1, 1, true);
+  mu.push(token);
+  migrated_[c][cell.mu_cursor] = 1;
+  ++cell.mu_cursor;
+  cell.mu_util.record(1, 1, true);
 }
 
-sim::Cycle Cbb::next_wake(sim::Cycle now) const {
-  if (!mu_arrivals_->empty()) return now;
-  switch (phase_) {
+bool CellArray::cell_busy(int c) const {
+  const CellState& cell = cells_[c];
+  if (!mu_arrivals_[c].empty()) return true;
+  switch (cell.phase) {
     case Phase::kIdle:
-      break;
-    case Phase::kForce: {
-      if (inject_cursor_ < particles_.size()) return now;
+      return false;
+    case Phase::kForce:
+      if (!positions_injected(c)) return true;
       for (int s = 0; s < config_.spes; ++s) {
-        if (!arrivals_[s]->empty() || !dispatch_[s].empty()) return now;
+        const std::size_t l = lane(c, s);
+        if (!arrivals_[l].empty() || !dispatch_[l].empty()) return true;
       }
-      for (const auto& p : pes_) {
-        if (!p->output().empty()) return now;
+      for (int p = first_pe(c); p < first_pe(c + 1); ++p) {
+        if (!pes_.output(p).empty()) return true;
       }
-      break;
-    }
+      return false;
     case Phase::kMotionUpdate:
-      if (mu_cursor_ < mu_limit_) return now;
-      break;
+      return cell.mu_cursor < cell.mu_limit;
   }
-  return sim::kNeverCycle;
+  return false;
 }
 
-void Cbb::skip_idle(sim::Cycle from, sim::Cycle to) {
-  // Every phase's idle tick path records mu_util_(0, 1, false) and nothing
+sim::Cycle CellArray::next_wake(sim::Cycle now) const {
+  for (int c = 0; c < num_cells(); ++c) {
+    if (cell_busy(c)) return now;
+  }
+  sim::Cycle wake = sim::kNeverCycle;
+  for (int p = 0; p < pes_.size(); ++p) {
+    const sim::Cycle w = pes_.next_wake(p, now);
+    if (w <= now) return now;
+    wake = std::min(wake, w);
+  }
+  return wake;
+}
+
+void CellArray::skip_idle(sim::Cycle from, sim::Cycle to) {
+  // Every phase's idle cell tick records mu_util(0, 1, false) and nothing
   // else — the kIdle case, a drained force phase, and a finished MU cursor
   // all hit the same bookkeeping.
-  mu_util_.record(0, to - from, false);
+  for (CellState& cell : cells_) cell.mu_util.record(0, to - from, false);
+  for (int p = 0; p < pes_.size(); ++p) pes_.skip_idle(p, from, to);
 }
 
-void Cbb::accumulate(std::uint16_t slot, const geom::Vec3f& force,
-                     int fc_index) {
-  assert(slot < forces_.size());
-  if (FcProbe::hook) FcProbe::hook(gcell_, slot, force, fc_index);
-  forces_[slot].add(force);
-}
-
-std::vector<geom::Vec3f> Cbb::forces() const {
+std::vector<geom::Vec3f> CellArray::forces(int c) const {
   std::vector<geom::Vec3f> out;
-  out.reserve(forces_.size());
-  for (const fixed::ForceAccum& f : forces_) out.push_back(f.to_vec3f());
+  out.reserve(forces_[c].size());
+  for (const fixed::ForceAccum& f : forces_[c]) out.push_back(f.to_vec3f());
   return out;
 }
 
 // ---------------------------------------------------------------- stats
 
-sim::UtilCounter Cbb::pe_util() const {
+sim::UtilCounter CellArray::pe_util(int c) const {
+  const int first = c < 0 ? 0 : first_pe(c);
+  const int last = c < 0 ? pes_.size() : first_pe(c + 1);
   sim::UtilCounter out;
-  for (const auto& p : pes_) out.merge(p->pe_util());
+  for (int p = first; p < last; ++p) out.merge(pes_.pe_util(p));
   return out;
 }
 
-sim::UtilCounter Cbb::filter_util() const {
+sim::UtilCounter CellArray::filter_util(int c) const {
+  const int first = c < 0 ? 0 : first_pe(c);
+  const int last = c < 0 ? pes_.size() : first_pe(c + 1);
   sim::UtilCounter out;
-  for (const auto& p : pes_) out.merge(p->filter_util());
+  for (int p = first; p < last; ++p) out.merge(pes_.filter_util(p));
   return out;
 }
 
-std::uint64_t Cbb::pairs_issued() const {
+sim::UtilCounter CellArray::mu_util() const {
+  sim::UtilCounter out;
+  for (const CellState& cell : cells_) out.merge(cell.mu_util);
+  return out;
+}
+
+std::uint64_t CellArray::pairs_issued(int c) const {
+  const int first = c < 0 ? 0 : first_pe(c);
+  const int last = c < 0 ? pes_.size() : first_pe(c + 1);
   std::uint64_t n = 0;
-  for (const auto& p : pes_) n += p->pairs_issued();
+  for (int p = first; p < last; ++p) n += pes_.pairs_issued(p);
   return n;
 }
+
+// ---------------------------------------------------------------- handle
+
+const geom::IVec3& Cbb::local_cell() const { return cells_->local_cell(cell_); }
+const geom::IVec3& Cbb::global_cell() const {
+  return cells_->global_cell(cell_);
+}
+std::vector<pe::CellParticle>& Cbb::particles() const {
+  return cells_->particles(cell_);
+}
+std::vector<geom::Vec3f> Cbb::forces() const { return cells_->forces(cell_); }
+void Cbb::begin_force_phase() const { cells_->begin_force_phase(cell_); }
+bool Cbb::force_quiescent() const { return cells_->force_quiescent(cell_); }
+bool Cbb::positions_injected() const {
+  return cells_->positions_injected(cell_);
+}
+bool Cbb::migration_intake_empty() const {
+  return cells_->migration_intake_empty(cell_);
+}
+void Cbb::begin_motion_update() const { cells_->begin_motion_update(cell_); }
+bool Cbb::mu_done() const { return cells_->mu_done(cell_); }
+sim::UtilCounter Cbb::pe_util() const { return cells_->pe_util(cell_); }
+sim::UtilCounter Cbb::filter_util() const { return cells_->filter_util(cell_); }
+const sim::UtilCounter& Cbb::mu_util() const { return cells_->mu_util(cell_); }
+std::uint64_t Cbb::pairs_issued() const { return cells_->pairs_issued(cell_); }
+CellStation<ring::PosToken>& Cbb::pos_station(int spe) const {
+  return cells_->pos_station(cell_, spe);
+}
+CellStation<ring::ForceToken>& Cbb::frc_station(int spe) const {
+  return cells_->frc_station(cell_, spe);
+}
+CellStation<ring::MigrateToken>& Cbb::mu_station() const {
+  return cells_->mu_station(cell_);
+}
+int Cbb::num_pes() const { return cells_->pes_per_cell(); }
+int Cbb::num_fcs() const { return cells_->num_fcs(); }
 
 }  // namespace fasda::cbb

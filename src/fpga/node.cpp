@@ -53,79 +53,81 @@ void Gated::skip_idle(sim::Cycle from, sim::Cycle to) {
   inner_->skip_idle(to - ticks, to);
 }
 
-// ------------------------------------------------------------- EX stations
+// ------------------------------------------------------------- ring stations
 
-/// Position EX: arrivals only (positions depart through the P2R chain at
-/// their source CBB, §4.3), spliced into the ring as an extra node.
-class FpgaNode::PosExStation : public ring::Station<ring::PosToken> {
- public:
-  explicit PosExStation(sim::Fifo<ring::PosToken>* inject) : inject_(inject) {}
-  Action classify(const ring::PosToken&) const override { return Action::kPass; }
-  bool try_deliver(ring::PosToken&) override { return false; }
-  sim::Fifo<ring::PosToken>* inject_source() override { return inject_; }
+/// Position ring: the cells in ascending CID order ("clockwise", matching
+/// Eq. 7's travel-time optimization), then the EX station. Positions depart
+/// through the P2R chain at their source CBB (§4.3), so EX only injects
+/// arrivals and lets every token pass.
+struct FpgaNode::PosStations {
+  cbb::CellArray* cells;
+  int spe;
+  std::size_t ex;  ///< EX station index (= number of cells)
 
- private:
-  sim::Fifo<ring::PosToken>* inject_;
+  ring::Action classify(std::size_t i, const ring::PosToken& t) const {
+    if (i == ex) return ring::Action::kPass;
+    return cells->classify(static_cast<int>(i), t);
+  }
+  bool try_deliver(std::size_t i, ring::PosToken& t) {
+    return cells->deliver(static_cast<int>(i), spe, t);
+  }
 };
 
-/// Force EX: extracts tokens whose destination cell lies on another node
-/// (F2R departure gates) and injects remote arrivals.
-class FpgaNode::FrcExStation : public ring::Station<ring::ForceToken> {
- public:
-  FrcExStation(FpgaNode* node, sim::Fifo<ring::ForceToken>* inject)
-      : node_(node), inject_(inject) {}
+/// Force ring: the cells in descending CID order, then the EX station,
+/// which extracts tokens whose destination cell lies on another node (F2R
+/// departure gates) and injects remote arrivals.
+struct FpgaNode::FrcStations {
+  FpgaNode* node;
+  int spe;
+  std::size_t ex;
+  std::vector<geom::IVec3> lcells;  ///< by station: the cell it delivers to
 
-  Action classify(const ring::ForceToken& t) const override {
-    const geom::IVec3& cpn = node_->map_.cells_per_node();
-    const bool local = t.dest_lcid.x < cpn.x && t.dest_lcid.y < cpn.y &&
-                       t.dest_lcid.z < cpn.z;
-    return local ? Action::kPass : Action::kDeliverAndDrop;
+  ring::Action classify(std::size_t i, const ring::ForceToken& t) const {
+    if (i == ex) {
+      return node->is_local(t.dest_lcid) ? ring::Action::kPass
+                                         : ring::Action::kDeliverAndDrop;
+    }
+    return t.dest_lcid == lcells[i] ? ring::Action::kDeliverAndDrop
+                                    : ring::Action::kPass;
   }
-
-  bool try_deliver(ring::ForceToken& t) override {
-    const idmap::ClusterMap& map = node_->map_;
-    const geom::IVec3 origin = map.global_cell(node_->node_coords_, {0, 0, 0});
-    const geom::IVec3 gcell = map.grid().wrap(t.dest_lcid + origin);
-    const NodeId dst = map.node_id(map.node_of_cell(gcell));
-    node_->frc_ep_.enqueue(dst, net::FrcRecord{gcell, t.force, t.slot});
+  bool try_deliver(std::size_t i, ring::ForceToken& t) {
+    if (i != ex) return node->cells_->deliver(static_cast<int>(ex - 1 - i), spe, t);
+    const auto [gcell, dst] = node->export_address(t.dest_lcid);
+    node->frc_ep_.enqueue(dst, net::FrcRecord{gcell, t.force, t.slot});
     return true;
   }
-
-  sim::Fifo<ring::ForceToken>* inject_source() override { return inject_; }
-
- private:
-  FpgaNode* node_;
-  sim::Fifo<ring::ForceToken>* inject_;
 };
 
-class FpgaNode::MigExStation : public ring::Station<ring::MigrateToken> {
- public:
-  MigExStation(FpgaNode* node, sim::Fifo<ring::MigrateToken>* inject)
-      : node_(node), inject_(inject) {}
+/// Motion-update ring: the cells in ascending CID order, then the EX
+/// station for migrations leaving the node.
+struct FpgaNode::MigStations {
+  FpgaNode* node;
+  std::size_t ex;
+  std::vector<geom::IVec3> lcells;  ///< by station: the cell it delivers to
 
-  Action classify(const ring::MigrateToken& t) const override {
-    const geom::IVec3& cpn = node_->map_.cells_per_node();
-    const bool local = t.dest_lcid.x < cpn.x && t.dest_lcid.y < cpn.y &&
-                       t.dest_lcid.z < cpn.z;
-    return local ? Action::kPass : Action::kDeliverAndDrop;
+  ring::Action classify(std::size_t i, const ring::MigrateToken& t) const {
+    if (i == ex) {
+      return node->is_local(t.dest_lcid) ? ring::Action::kPass
+                                         : ring::Action::kDeliverAndDrop;
+    }
+    return t.dest_lcid == lcells[i] ? ring::Action::kDeliverAndDrop
+                                    : ring::Action::kPass;
   }
-
-  bool try_deliver(ring::MigrateToken& t) override {
-    const idmap::ClusterMap& map = node_->map_;
-    const geom::IVec3 origin = map.global_cell(node_->node_coords_, {0, 0, 0});
-    const geom::IVec3 gcell = map.grid().wrap(t.dest_lcid + origin);
-    const NodeId dst = map.node_id(map.node_of_cell(gcell));
-    node_->mig_ep_.enqueue(
+  bool try_deliver(std::size_t i, ring::MigrateToken& t) {
+    if (i != ex) return node->cells_->deliver(static_cast<int>(i), 0, t);
+    const auto [gcell, dst] = node->export_address(t.dest_lcid);
+    node->mig_ep_.enqueue(
         dst, net::MigRecord{gcell, t.offset, t.vel, t.elem, t.particle_id});
     return true;
   }
-
-  sim::Fifo<ring::MigrateToken>* inject_source() override { return inject_; }
-
- private:
-  FpgaNode* node_;
-  sim::Fifo<ring::MigrateToken>* inject_;
 };
+
+std::pair<geom::IVec3, NodeId> FpgaNode::export_address(
+    const geom::IVec3& lcid) const {
+  const geom::IVec3 origin = map_.global_cell(node_coords_, {0, 0, 0});
+  const geom::IVec3 gcell = map_.grid().wrap(lcid + origin);
+  return {gcell, map_.node_id(map_.node_of_cell(gcell))};
+}
 
 // ------------------------------------------------------------ construction
 
@@ -169,67 +171,73 @@ FpgaNode::FpgaNode(NodeId id, const NodeConfig& config,
   const int spes = config_.cbb.spes;
   const std::size_t fifo_depth = config_.cbb.fifo_depth;
 
-  // CBBs in local Eq. 7 CID order.
+  // Cells in local Eq. 7 CID order.
+  std::vector<geom::IVec3> lcells;
   for (int x = 0; x < cpn.x; ++x) {
     for (int y = 0; y < cpn.y; ++y) {
-      for (int z = 0; z < cpn.z; ++z) {
-        const geom::IVec3 lcell{x, y, z};
-        auto block = std::make_unique<cbb::Cbb>(
-            node_name(id) + "/cbb" + std::to_string(cbbs_.size()), config_.cbb,
-            datapath, map_, node_coords_, lcell);
-        const geom::IVec3 gcell = map_.global_cell(node_coords_, lcell);
-        auto dests = map_.remote_destinations(gcell);
-        if (!dests.empty()) {
-          block->set_remote_position_sink(
-              [this, dests](const cbb::RemotePosition& rp) {
-                for (const NodeId dst : dests) {
-                  pos_ep_.enqueue(dst, net::PosRecord{rp.src_gcell, rp.offset,
-                                                      rp.elem, rp.slot});
-                }
-              });
-        }
-        cbbs_.push_back(std::move(block));
-      }
+      for (int z = 0; z < cpn.z; ++z) lcells.push_back({x, y, z});
     }
   }
+  cells_ = std::make_unique<cbb::CellArray>(node_name(id) + "/cells",
+                                            config_.cbb, datapath, map_,
+                                            node_coords_, lcells);
+  const int num_cells = cells_->num_cells();
+  const auto ex = static_cast<std::size_t>(num_cells);
+  std::vector<geom::IVec3> descending(lcells.rbegin(), lcells.rend());
+  for (int c = 0; c < num_cells; ++c) {
+    auto dests = map_.remote_destinations(cells_->global_cell(c));
+    if (dests.empty()) continue;
+    cells_->set_remote_position_sink(
+        c, [this, dests](const cbb::RemotePosition& rp) {
+          for (const NodeId dst : dests) {
+            pos_ep_.enqueue(dst, net::PosRecord{rp.src_gcell, rp.offset,
+                                                rp.elem, rp.slot});
+          }
+        });
+  }
 
-  // Rings: positions rotate through CBBs in ascending CID order ("clockwise",
-  // matching Eq. 7's travel-time optimization), forces in the opposite
-  // direction. Each ring gets one EX station (§4.1: one extra cycle).
+  // Rings: positions rotate through the cells in ascending CID order, forces
+  // in the opposite direction. Each ring gets one EX station (§4.1: one
+  // extra cycle).
   for (int s = 0; s < spes; ++s) {
     ex_pos_inject_.push_back(
         std::make_unique<sim::Fifo<ring::PosToken>>(fifo_depth));
     ex_frc_inject_.push_back(
         std::make_unique<sim::Fifo<ring::ForceToken>>(fifo_depth));
-    pos_ex_.push_back(std::make_unique<PosExStation>(ex_pos_inject_.back().get()));
-    frc_ex_.push_back(
-        std::make_unique<FrcExStation>(this, ex_frc_inject_.back().get()));
 
-    std::vector<ring::Station<ring::PosToken>*> pos_stations;
-    for (auto& c : cbbs_) pos_stations.push_back(&c->pos_station(s));
-    pos_stations.push_back(pos_ex_.back().get());
-    pos_rings_.push_back(std::make_unique<ring::Ring<ring::PosToken>>(
-        node_name(id) + "/pr" + std::to_string(s), std::move(pos_stations)));
-
-    std::vector<ring::Station<ring::ForceToken>*> frc_stations;
-    for (auto it = cbbs_.rbegin(); it != cbbs_.rend(); ++it) {
-      frc_stations.push_back(&(*it)->frc_station(s));
+    std::vector<sim::Fifo<ring::PosToken>*> pos_sources;
+    for (int c = 0; c < num_cells; ++c) {
+      pos_sources.push_back(&cells_->injector<ring::PosToken>(c, s));
     }
-    frc_stations.push_back(frc_ex_.back().get());
-    frc_rings_.push_back(std::make_unique<ring::Ring<ring::ForceToken>>(
-        node_name(id) + "/fr" + std::to_string(s), std::move(frc_stations)));
+    pos_sources.push_back(ex_pos_inject_.back().get());
+    pos_rings_.push_back(
+        std::make_unique<ring::Ring<ring::PosToken, PosStations>>(
+            node_name(id) + "/pr" + std::to_string(s),
+            PosStations{cells_.get(), s, ex}, std::move(pos_sources)));
+
+    std::vector<sim::Fifo<ring::ForceToken>*> frc_sources;
+    for (int c = num_cells - 1; c >= 0; --c) {
+      frc_sources.push_back(&cells_->injector<ring::ForceToken>(c, s));
+    }
+    frc_sources.push_back(ex_frc_inject_.back().get());
+    frc_rings_.push_back(
+        std::make_unique<ring::Ring<ring::ForceToken, FrcStations>>(
+            node_name(id) + "/fr" + std::to_string(s),
+            FrcStations{this, s, ex, descending}, std::move(frc_sources)));
   }
 
   pending_pos_.resize(spes);
   pending_frc_.resize(spes);
 
   ex_mig_inject_ = std::make_unique<sim::Fifo<ring::MigrateToken>>(fifo_depth);
-  mig_ex_ = std::make_unique<MigExStation>(this, ex_mig_inject_.get());
-  std::vector<ring::Station<ring::MigrateToken>*> mu_stations;
-  for (auto& c : cbbs_) mu_stations.push_back(&c->mu_station());
-  mu_stations.push_back(mig_ex_.get());
-  mu_ring_ = std::make_unique<ring::Ring<ring::MigrateToken>>(
-      node_name(id) + "/mur", std::move(mu_stations));
+  std::vector<sim::Fifo<ring::MigrateToken>*> mu_sources;
+  for (int c = 0; c < num_cells; ++c) {
+    mu_sources.push_back(&cells_->injector<ring::MigrateToken>(c, 0));
+  }
+  mu_sources.push_back(ex_mig_inject_.get());
+  mu_ring_ = std::make_unique<ring::Ring<ring::MigrateToken, MigStations>>(
+      node_name(id) + "/mur", MigStations{this, ex, lcells},
+      std::move(mu_sources));
 }
 
 FpgaNode::~FpgaNode() = default;
@@ -248,7 +256,7 @@ void FpgaNode::register_with(sim::Scheduler& scheduler) {
   frc_ep_.set_wake_hook(poke);
   mig_ep_.set_wake_hook(poke);
   // With node faults injected, every datapath component goes through a
-  // liveness gate so a crashed board's rings/PEs freeze with it.
+  // liveness gate so a crashed board's rings and cells freeze with it.
   const FpgaNode* owner = config_.node_faults.empty() ? nullptr : this;
   auto add_datapath = [&](sim::Component* c) -> sim::Component* {
     if (config_.slowdown > 1 || owner) {
@@ -259,32 +267,24 @@ void FpgaNode::register_with(sim::Scheduler& scheduler) {
     scheduler.add(c, shard_id);
     return c;
   };
-  cbb_sched_.clear();
-  for (auto& c : cbbs_) {
-    for (sim::Component* comp : c->components()) {
-      sim::Component* registered = add_datapath(comp);
-      if (comp == static_cast<sim::Component*>(c.get())) {
-        cbb_sched_.push_back(registered);
-      }
-    }
-    for (sim::Clocked* cl : c->clocked()) scheduler.add_clocked(cl, shard_id);
+  cells_sched_ = add_datapath(cells_.get());
+  for (sim::Clocked* cl : cells_->clocked()) scheduler.add_clocked(cl, shard_id);
+  // Each ring commits its own injection FIFOs (the cells' and the EX's).
+  for (auto& r : pos_rings_) {
+    add_datapath(r.get());
+    scheduler.add_clocked(r.get(), shard_id);
   }
-  for (auto& r : pos_rings_) add_datapath(r.get());
-  for (auto& r : frc_rings_) add_datapath(r.get());
+  for (auto& r : frc_rings_) {
+    add_datapath(r.get());
+    scheduler.add_clocked(r.get(), shard_id);
+  }
   add_datapath(mu_ring_.get());
-  for (auto& f : ex_pos_inject_) scheduler.add_clocked(f.get(), shard_id);
-  for (auto& f : ex_frc_inject_) scheduler.add_clocked(f.get(), shard_id);
-  scheduler.add_clocked(ex_mig_inject_.get(), shard_id);
+  scheduler.add_clocked(mu_ring_.get(), shard_id);
 }
 
-cbb::Cbb& FpgaNode::cbb_at(const geom::IVec3& lcell) {
+cbb::Cbb FpgaNode::cbb_at(const geom::IVec3& lcell) const {
   const geom::IVec3& cpn = map_.cells_per_node();
-  return *cbbs_[(lcell.x * cpn.y + lcell.y) * cpn.z + lcell.z];
-}
-
-const cbb::Cbb& FpgaNode::cbb_at(const geom::IVec3& lcell) const {
-  const geom::IVec3& cpn = map_.cells_per_node();
-  return *cbbs_[(lcell.x * cpn.y + lcell.y) * cpn.z + lcell.z];
+  return cells_->cell((lcell.x * cpn.y + lcell.y) * cpn.z + lcell.z);
 }
 
 void FpgaNode::start(int iterations) {
@@ -429,10 +429,7 @@ sim::Cycle FpgaNode::next_wake(sim::Cycle now) const {
     case State::kMotionUpdate: {
       fold(mig_ep_.ingress_wake(now));
       if (pending_mig_) return now;
-      bool local_mu_done = mu_ring_->occupancy() == 0 &&
-                           ex_mig_inject_->total_occupancy() == 0;
-      for (const auto& c : cbbs_) local_mu_done = local_mu_done && c->mu_done();
-      if (!chain_.last_mu_sent() && local_mu_done) return now;
+      if (!chain_.last_mu_sent() && local_mu_done()) return now;
       if (chain_.may_finish_motion_update() && mu_side_drained()) return now;
       break;
     }
@@ -589,15 +586,25 @@ void FpgaNode::tick_egress(sim::Cycle now) {
 }
 
 bool FpgaNode::all_positions_injected() const {
-  for (const auto& c : cbbs_) {
-    if (!c->positions_injected()) return false;
+  for (int c = 0; c < cells_->num_cells(); ++c) {
+    if (!cells_->positions_injected(c)) return false;
+  }
+  return true;
+}
+
+bool FpgaNode::local_mu_done() const {
+  if (mu_ring_->occupancy() != 0 || ex_mig_inject_->total_occupancy() != 0) {
+    return false;
+  }
+  for (int c = 0; c < cells_->num_cells(); ++c) {
+    if (!cells_->mu_done(c)) return false;
   }
   return true;
 }
 
 bool FpgaNode::force_datapath_quiescent() const {
-  for (const auto& c : cbbs_) {
-    if (!c->force_quiescent()) return false;
+  for (int c = 0; c < cells_->num_cells(); ++c) {
+    if (!cells_->force_quiescent(c)) return false;
   }
   for (const auto& r : pos_rings_) {
     if (r->occupancy() != 0) return false;
@@ -628,8 +635,8 @@ bool FpgaNode::frc_side_drained() const {
 }
 
 bool FpgaNode::mu_side_drained() const {
-  for (const auto& c : cbbs_) {
-    if (!c->mu_done() || !c->migration_intake_empty()) return false;
+  for (int c = 0; c < cells_->num_cells(); ++c) {
+    if (!cells_->mu_done(c) || !cells_->migration_intake_empty(c)) return false;
   }
   return mu_ring_->occupancy() == 0 && ex_mig_inject_->total_occupancy() == 0 &&
          !pending_mig_ && !mig_ep_.ingress_pending();
@@ -637,27 +644,27 @@ bool FpgaNode::mu_side_drained() const {
 
 void FpgaNode::enter_force_phase(sim::Cycle now) {
   chain_.begin_iteration();
-  for (auto& c : cbbs_) c->begin_force_phase();
-  wake_cbbs(now);
+  for (int c = 0; c < cells_->num_cells(); ++c) cells_->begin_force_phase(c);
+  wake_cells(now);
   force_phase_starts_.push_back(now);
   set_state(State::kForce, now);
 }
 
 void FpgaNode::enter_motion_update(sim::Cycle now) {
-  for (auto& c : cbbs_) c->begin_motion_update();
-  wake_cbbs(now);
+  for (int c = 0; c < cells_->num_cells(); ++c) cells_->begin_motion_update(c);
+  wake_cells(now);
   set_state(State::kMotionUpdate, now);
 }
 
-void FpgaNode::wake_cbbs(sim::Cycle now) {
-  // A phase transition mutates the CBBs mid-cycle, after the elision sweep
-  // already cached their wakes — and their first tick of the new phase
-  // happens THIS cycle under the naive schedule (the node ticks before its
-  // datapath in registration order). Re-arm the cached wakes so the
-  // selective fan-out ticks them. Safe without synchronization: same shard
-  // means same worker, and the fan-out processes these components strictly
-  // after this tick returns.
-  for (sim::Component* c : cbb_sched_) c->set_sched_wake(now);
+void FpgaNode::wake_cells(sim::Cycle now) {
+  // A phase transition mutates the cells mid-cycle, after the elision sweep
+  // already cached the cell array's wake — and their first tick of the new
+  // phase happens THIS cycle under the naive schedule (the node ticks
+  // before its datapath in registration order). Re-arm the cached wake so
+  // the selective fan-out ticks the array. Safe without synchronization:
+  // same shard means same worker, and the fan-out processes the array
+  // strictly after this tick returns.
+  cells_sched_->set_sched_wake(now);
 }
 
 void FpgaNode::complete_iteration(sim::Cycle now) {
@@ -710,10 +717,7 @@ void FpgaNode::tick_fsm(sim::Cycle now) {
       }
       return;
     case State::kMotionUpdate: {
-      bool local_mu_done = mu_ring_->occupancy() == 0 &&
-                           ex_mig_inject_->total_occupancy() == 0;
-      for (const auto& c : cbbs_) local_mu_done = local_mu_done && c->mu_done();
-      if (!chain_.last_mu_sent() && local_mu_done) {
+      if (!chain_.last_mu_sent() && local_mu_done()) {
         mig_ep_.flush_last(neighbors_);
         chain_.mark_last_mu_sent();
         sync_event("last-mu", now);
@@ -751,28 +755,12 @@ sim::UtilCounter FpgaNode::frc_ring_util() const {
   return out;
 }
 
-sim::UtilCounter FpgaNode::pe_util() const {
-  sim::UtilCounter out;
-  for (const auto& c : cbbs_) out.merge(c->pe_util());
-  return out;
-}
+sim::UtilCounter FpgaNode::pe_util() const { return cells_->pe_util(); }
 
-sim::UtilCounter FpgaNode::filter_util() const {
-  sim::UtilCounter out;
-  for (const auto& c : cbbs_) out.merge(c->filter_util());
-  return out;
-}
+sim::UtilCounter FpgaNode::filter_util() const { return cells_->filter_util(); }
 
-sim::UtilCounter FpgaNode::mu_util() const {
-  sim::UtilCounter out;
-  for (const auto& c : cbbs_) out.merge(c->mu_util());
-  return out;
-}
+sim::UtilCounter FpgaNode::mu_util() const { return cells_->mu_util(); }
 
-std::uint64_t FpgaNode::pairs_issued() const {
-  std::uint64_t n = 0;
-  for (const auto& c : cbbs_) n += c->pairs_issued();
-  return n;
-}
+std::uint64_t FpgaNode::pairs_issued() const { return cells_->pairs_issued(); }
 
 }  // namespace fasda::fpga

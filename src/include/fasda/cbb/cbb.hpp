@@ -17,10 +17,17 @@
 // Home positions are injected into SPE ring s by slot parity (slot % spes),
 // the even/odd PC0/PC1 split of §4.6; intra-cell pair references are
 // dispatched round-robin across every PE.
+//
+// All CBBs of a node and their PEs live in one CellArray, the node's single
+// scheduled datapath component besides its rings. Its tick walks the cells
+// in CID order: each cell's CBB stages (migration intake, position
+// injection, arrival intake, dispatch, force-output arbitration, motion
+// update), then that cell's PE stages. The cell's ring stations are table
+// lookups: position acceptance and the RCID rebase offset per (cell, source
+// cell) are built once from the ClusterMap at construction. `Cbb` is a
+// lightweight handle on one cell of the array.
 
-#include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "fasda/idmap/cell_id_map.hpp"
@@ -52,136 +59,266 @@ struct RemotePosition {
   std::uint16_t slot = 0;
 };
 
-/// Test-only global probe observing every Force Cache write: the owning
-/// cell, target slot, value, and source (fc index for PE-side writes, -1 for
-/// force-ring deliveries). Never set in production runs.
-struct FcProbe {
-  using Fn = std::function<void(const geom::IVec3& gcell, std::uint16_t slot,
-                                const geom::Vec3f& force, int source)>;
-  static Fn hook;
+using FcProbe = pe::FcProbe;
+
+class CellArray;
+
+/// One cell's ring station, as seen from outside the ring (tests, and the
+/// per-station view of a node's table-driven station sets).
+template <class T>
+class CellStation {
+ public:
+  CellStation(CellArray* cells, int cell, int spe)
+      : cells_(cells), cell_(cell), spe_(spe) {}
+  ring::Action classify(const T& token) const;
+  bool try_deliver(T& token) const;
+  sim::Fifo<T>* inject_source() const;
+
+ private:
+  CellArray* cells_;
+  int cell_;
+  int spe_;
 };
 
-class Cbb : public sim::Component, public pe::ForceSink {
+/// Handle on one cell of a CellArray: the per-CBB view.
+class Cbb {
  public:
-  Cbb(std::string name, const CbbConfig& config, const md::Datapath& datapath,
-      const idmap::ClusterMap& map, geom::IVec3 node, geom::IVec3 lcell);
-  ~Cbb() override;
+  Cbb(CellArray& cells, int cell) : cells_(&cells), cell_(cell) {}
 
-  Cbb(const Cbb&) = delete;
-  Cbb& operator=(const Cbb&) = delete;
+  const geom::IVec3& local_cell() const;
+  const geom::IVec3& global_cell() const;
 
-  /// Everything to register with the scheduler (this CBB + its PEs).
-  std::vector<sim::Component*> components();
-  std::vector<sim::Clocked*> clocked();
-
-  ring::Station<ring::PosToken>& pos_station(int spe);
-  ring::Station<ring::ForceToken>& frc_station(int spe);
-  ring::Station<ring::MigrateToken>& mu_station();
-
-  /// Node-level hook: offered once per home particle at force-phase start
-  /// when the particle has remote destinations.
-  void set_remote_position_sink(std::function<void(const RemotePosition&)> f) {
-    offer_remote_ = std::move(f);
-  }
-
-  const geom::IVec3& local_cell() const { return lcell_; }
-  const geom::IVec3& global_cell() const { return gcell_; }
-
-  std::vector<pe::CellParticle>& particles() { return particles_; }
-  const std::vector<pe::CellParticle>& particles() const { return particles_; }
+  std::vector<pe::CellParticle>& particles() const;
   /// Per-slot combined forces read out of the fixed-point FC accumulators.
   /// Accumulation is order-independent (see fixed::ForceAccum), so this is
   /// bitwise identical no matter how ring/network timing interleaved the
   /// contributing writes.
   std::vector<geom::Vec3f> forces() const;
 
-  // ---- phase control (driven by the FpgaNode) ----
-  void begin_force_phase();
-  /// All local force-evaluation work complete and every FIFO drained.
+  // ---- phase control ----
+  void begin_force_phase() const;
   bool force_quiescent() const;
-  /// Every home position has been broadcast (and offered to the P2R chain).
-  bool positions_injected() const { return inject_cursor_ >= particles_.size(); }
-  /// No migration arrivals waiting to be folded into the particle store.
-  bool migration_intake_empty() const {
-    return mu_arrivals_->total_occupancy() == 0;
-  }
-  /// Starts the MU pass over the home particles, with the constants the
-  /// Datapath was built with.
-  void begin_motion_update();
+  bool positions_injected() const;
+  bool migration_intake_empty() const;
+  void begin_motion_update() const;
   bool mu_done() const;
 
-  void tick(sim::Cycle now) override;
-
-  /// Elision oracle: busy while anything is queued for this cell in the
-  /// current phase (migration intake, position injection, dispatcher
-  /// queues, PE outputs, MU cursor); never self-schedules a future event.
-  sim::Cycle next_wake(sim::Cycle now) const override;
-  void skip_idle(sim::Cycle from, sim::Cycle to) override;
-
-  void accumulate(std::uint16_t slot, const geom::Vec3f& force,
-                  int fc_index) override;
+  CellStation<ring::PosToken>& pos_station(int spe) const;
+  CellStation<ring::ForceToken>& frc_station(int spe) const;
+  CellStation<ring::MigrateToken>& mu_station() const;
 
   // ---- statistics ----
   sim::UtilCounter pe_util() const;
   sim::UtilCounter filter_util() const;
-  const sim::UtilCounter& mu_util() const { return mu_util_; }
+  const sim::UtilCounter& mu_util() const;
   std::uint64_t pairs_issued() const;
+  int num_pes() const;
+  int num_fcs() const;
 
-  int num_pes() const { return static_cast<int>(pes_.size()); }
+ private:
+  CellArray* cells_;
+  int cell_;
+};
+
+class CellArray : public sim::Component {
+ public:
+  /// The cells `lcells` of `node` (a node passes all of its cells in local
+  /// CID order; a cell index below is a position in that list).
+  CellArray(std::string name, const CbbConfig& config,
+            const md::Datapath& datapath, const idmap::ClusterMap& map,
+            geom::IVec3 node, const std::vector<geom::IVec3>& lcells);
+
+  CellArray(const CellArray&) = delete;
+  CellArray& operator=(const CellArray&) = delete;
+
+  int num_cells() const { return static_cast<int>(cells_.size()); }
+  Cbb cell(int c) { return Cbb(*this, c); }
+  const CbbConfig& config() const { return config_; }
+
+  /// The two-phase FIFOs to register with the scheduler: the PE input and
+  /// output FIFOs. The ring injection FIFOs (injector()) are committed by
+  /// the ring they feed.
+  std::vector<sim::Clocked*> clocked();
+
+  /// Node-level hook: offered once per home particle of cell `c` at
+  /// force-phase start when the particle has remote destinations.
+  void set_remote_position_sink(int c,
+                                std::function<void(const RemotePosition&)> f) {
+    cells_[c].offer_remote = std::move(f);
+  }
+
+  // ---- ring stations of cell c (SPE ring `spe`) ----
+  ring::Action classify(int c, const ring::PosToken& t) const {
+    const PosRoute& route = pos_route(c, t.src_lcid);
+    if (!route.accept) return ring::Action::kPass;
+    return t.deliveries_remaining <= 1 ? ring::Action::kDeliverAndDrop
+                                       : ring::Action::kDeliver;
+  }
+  ring::Action classify(int c, const ring::ForceToken& t) const {
+    return t.dest_lcid == cells_[c].lcell ? ring::Action::kDeliverAndDrop
+                                          : ring::Action::kPass;
+  }
+  ring::Action classify(int c, const ring::MigrateToken& t) const {
+    return t.dest_lcid == cells_[c].lcell ? ring::Action::kDeliverAndDrop
+                                          : ring::Action::kPass;
+  }
+  bool deliver(int c, int spe, ring::PosToken& t);
+  bool deliver(int c, int spe, ring::ForceToken& t);
+  bool deliver(int c, int spe, ring::MigrateToken& t);
+  template <class T>
+  sim::Fifo<T>& injector(int c, int spe);
+  CellStation<ring::PosToken>& pos_station(int c, int spe) {
+    return pos_stations_[lane(c, spe)];
+  }
+  CellStation<ring::ForceToken>& frc_station(int c, int spe) {
+    return frc_stations_[lane(c, spe)];
+  }
+  CellStation<ring::MigrateToken>& mu_station(int c) {
+    return mu_stations_[static_cast<std::size_t>(c)];
+  }
+
+  // ---- phase control (driven by the FpgaNode) ----
+  void begin_force_phase(int c);
+  /// All local force-evaluation work complete and every FIFO drained.
+  bool force_quiescent(int c) const;
+  /// Every home position has been broadcast (and offered to the P2R chain).
+  bool positions_injected(int c) const {
+    return cells_[c].inject_cursor >= particles_[c].size();
+  }
+  /// No migration arrivals waiting to be folded into the particle store.
+  bool migration_intake_empty(int c) const { return mu_arrivals_[c].empty(); }
+  /// Starts the MU pass over the home particles, with the constants the
+  /// Datapath was built with.
+  void begin_motion_update(int c);
+  bool mu_done(int c) const;
+
+  std::vector<pe::CellParticle>& particles(int c) { return particles_[c]; }
+  std::vector<geom::Vec3f> forces(int c) const;
+  const geom::IVec3& local_cell(int c) const { return cells_[c].lcell; }
+  const geom::IVec3& global_cell(int c) const { return cells_[c].gcell; }
+
+  /// One cycle of every cell, in CID order: the cell's CBB stages, then
+  /// its PEs (the order the per-object datapath used to be ticked in).
+  void tick(sim::Cycle now) override;
+
+  /// Elision oracle, aggregated exactly over the cells and PEs: busy while
+  /// any cell has anything queued in the current phase (migration intake,
+  /// position injection, dispatcher queues, PE outputs, MU cursor) or any
+  /// PE is busy; otherwise the earliest PE pipeline completion. A cell
+  /// never self-schedules a future event.
+  sim::Cycle next_wake(sim::Cycle now) const override;
+  void skip_idle(sim::Cycle from, sim::Cycle to) override;
+
+  // ---- statistics (cell c, or -1 for every cell) ----
+  sim::UtilCounter pe_util(int c = -1) const;
+  sim::UtilCounter filter_util(int c = -1) const;
+  sim::UtilCounter mu_util() const;
+  const sim::UtilCounter& mu_util(int c) const { return cells_[c].mu_util; }
+  std::uint64_t pairs_issued(int c = -1) const;
+
+  int pes_per_cell() const { return config_.spes * config_.pes_per_spe; }
   int num_fcs() const { return config_.spes * (config_.pes_per_spe + 1); }
 
  private:
-  class PosStation;
-  class FrcStation;
-  class MuStation;
-  friend class PosStation;
-  friend class FrcStation;
-  friend class MuStation;
+  enum class Phase : std::uint8_t { kIdle, kForce, kMotionUpdate };
 
-  enum class Phase { kIdle, kForce, kMotionUpdate };
+  /// Position-ring acceptance of a source cell at one destination cell,
+  /// and the RCID offset (RCID - 2) that rebases its positions.
+  struct PosRoute {
+    bool accept = false;
+    geom::IVec3 shift;
+  };
 
-  void tick_force_phase();
-  void tick_motion_update();
+  struct CellState {
+    geom::IVec3 lcell;
+    geom::IVec3 gcell;
+    int local_pos_deliveries = 0;  ///< local cells accepting this cell's positions
+    bool has_remote_dests = false;
+    Phase phase = Phase::kIdle;
+    std::size_t inject_cursor = 0;  ///< next home particle to broadcast
+    std::size_t mu_cursor = 0;
+    std::size_t mu_limit = 0;
+    sim::UtilCounter mu_util;
+    std::function<void(const RemotePosition&)> offer_remote;
+  };
 
-  pe::ProcessingElement& pe_at(int spe, int k) {
-    return *pes_[static_cast<std::size_t>(spe) * config_.pes_per_spe + k];
+  /// Route of a source LCID at cell c. Source cells on a node's rings lie
+  /// in the node's block or its one-cell halo; `halo_[axis]` maps an LCID
+  /// coordinate to its halo coordinate (-1 outside, never accepted).
+  const PosRoute& pos_route(int c, const geom::IVec3& src_lcid) const {
+    const int hx = halo_[0][static_cast<std::size_t>(src_lcid.x)];
+    const int hy = halo_[1][static_cast<std::size_t>(src_lcid.y)];
+    const int hz = halo_[2][static_cast<std::size_t>(src_lcid.z)];
+    if ((hx | hy | hz) < 0) return kNoRoute;
+    return pos_routes_[static_cast<std::size_t>(c) * halo_cells_ +
+                       static_cast<std::size_t>(
+                           (hx * halo_dims_.y + hy) * halo_dims_.z + hz)];
   }
+
+  void tick_force_phase(int c);
+  void tick_motion_update(int c);
+  bool cell_busy(int c) const;
+  int first_pe(int c) const { return c * pes_per_cell(); }
+  std::size_t lane(int c, int spe) const {
+    return static_cast<std::size_t>(c * config_.spes + spe);
+  }
+
+  static const PosRoute kNoRoute;
 
   CbbConfig config_;
   const md::Datapath& datapath_;
   const idmap::ClusterMap& map_;
-  geom::IVec3 node_;
-  geom::IVec3 lcell_;
-  geom::IVec3 gcell_;
-  int local_pos_deliveries_ = 0;  ///< local cells accepting this cell's positions
-  bool has_remote_dests_ = false;
 
-  std::vector<pe::CellParticle> particles_;
-  std::vector<fixed::ForceAccum> forces_;  ///< FC accumulators, by slot
-  std::vector<bool> migrated_;
+  std::vector<CellState> cells_;
+  std::vector<std::vector<pe::CellParticle>> particles_;
+  std::vector<std::vector<fixed::ForceAccum>> forces_;  ///< FC accumulators
+  std::vector<std::vector<std::uint8_t>> migrated_;
 
-  std::vector<std::unique_ptr<pe::ProcessingElement>> pes_;
+  // Per (cell, SPE), indexed by lane(c, spe).
+  std::vector<sim::Fifo<ring::PosToken>> pr_inject_;
+  std::vector<sim::Fifo<ring::ForceToken>> fr_inject_;
+  // Pool slots of the (cell, SPE) reference pool in pes_.
+  std::vector<sim::Queue<pe::PeArray::RefSlot>> arrivals_;  ///< PRN deliveries
+  std::vector<sim::Queue<pe::PeArray::RefSlot>> dispatch_;
+  // Per cell.
+  std::vector<sim::Fifo<ring::MigrateToken>> mu_inject_;
+  std::vector<sim::Queue<ring::MigrateToken>> mu_arrivals_;
 
-  // Per-SPE plumbing.
-  std::vector<std::unique_ptr<sim::Fifo<ring::PosToken>>> pr_inject_;
-  std::vector<std::unique_ptr<sim::Fifo<ring::ForceToken>>> fr_inject_;
-  std::vector<std::unique_ptr<sim::Fifo<pe::Reference>>> arrivals_;
-  std::vector<std::deque<pe::Reference>> dispatch_;
-  std::vector<std::unique_ptr<PosStation>> pos_stations_;
-  std::vector<std::unique_ptr<FrcStation>> frc_stations_;
-  std::unique_ptr<MuStation> mu_station_;
-  std::unique_ptr<sim::Fifo<ring::MigrateToken>> mu_inject_;
-  std::unique_ptr<sim::Fifo<ring::MigrateToken>> mu_arrivals_;
+  /// PE p of cell c, SPE s is c * pes_per_cell() + s * pes_per_spe + k;
+  /// each SPE's PEs share the reference pool lane(c, s).
+  pe::PeArray pes_;
 
-  std::function<void(const RemotePosition&)> offer_remote_;
+  std::vector<std::int16_t> halo_[3];
+  geom::IVec3 halo_dims_;
+  std::size_t halo_cells_ = 0;
+  std::vector<PosRoute> pos_routes_;  ///< halo_cells_ per cell
 
-  Phase phase_ = Phase::kIdle;
-  std::size_t inject_cursor_ = 0;  ///< next home particle to broadcast
-
-  // Motion update state.
-  std::size_t mu_cursor_ = 0;
-  std::size_t mu_limit_ = 0;
-  sim::UtilCounter mu_util_;
+  // Per-station views, for callers outside the rings.
+  std::vector<CellStation<ring::PosToken>> pos_stations_;
+  std::vector<CellStation<ring::ForceToken>> frc_stations_;
+  std::vector<CellStation<ring::MigrateToken>> mu_stations_;
 };
+
+template <>
+sim::Fifo<ring::PosToken>& CellArray::injector<ring::PosToken>(int c, int spe);
+template <>
+sim::Fifo<ring::ForceToken>& CellArray::injector<ring::ForceToken>(int c,
+                                                                   int spe);
+template <>
+sim::Fifo<ring::MigrateToken>& CellArray::injector<ring::MigrateToken>(int c,
+                                                                       int spe);
+
+template <class T>
+ring::Action CellStation<T>::classify(const T& token) const {
+  return cells_->classify(cell_, token);
+}
+template <class T>
+bool CellStation<T>::try_deliver(T& token) const {
+  return cells_->deliver(cell_, spe_, token);
+}
+template <class T>
+sim::Fifo<T>* CellStation<T>::inject_source() const {
+  return &cells_->template injector<T>(cell_, spe_);
+}
 
 }  // namespace fasda::cbb

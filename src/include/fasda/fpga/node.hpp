@@ -9,9 +9,10 @@
 // The node's own tick handles control: packet ingress (gated by phase so a
 // fast neighbour's next-iteration data waits in the endpoint), egress
 // pacing, EX conversions (GCID→LCID on arrival, §4.2), and phase
-// transitions. Datapath components (CBBs, PEs, rings) are registered with
-// the scheduler separately; a `slowdown` factor gates their ticks to model
-// a straggler board.
+// transitions. The datapath is registered with the scheduler separately:
+// one cbb::CellArray holding every CBB and PE of the node, and the rings,
+// whose stations are the cell array's lookup tables plus one EX station
+// each. A `slowdown` factor gates their ticks to model a straggler board.
 
 #include <memory>
 #include <optional>
@@ -83,8 +84,9 @@ class FpgaNode : public sim::Component {
   FpgaNode(const FpgaNode&) = delete;
   FpgaNode& operator=(const FpgaNode&) = delete;
 
-  /// Registers the node FSM, all datapath components (through the straggler
-  /// gate if configured), and all clocked elements — every one tagged with
+  /// Registers the node FSM, the cell array and the rings (through the
+  /// straggler gate if configured), and all clocked elements — every one
+  /// tagged with
   /// this node's shard() so a parallel scheduler keeps the whole node on one
   /// worker. Nothing registered here touches another node's state during
   /// tick: cross-node traffic goes through the two-phase fabrics only.
@@ -122,11 +124,10 @@ class FpgaNode : public sim::Component {
     return force_phase_starts_;
   }
 
-  cbb::Cbb& cbb_at(const geom::IVec3& lcell);
-  const cbb::Cbb& cbb_at(const geom::IVec3& lcell) const;
-  int num_cbbs() const { return static_cast<int>(cbbs_.size()); }
-  cbb::Cbb& cbb_by_index(int i) { return *cbbs_[i]; }
-  const cbb::Cbb& cbb_by_index(int i) const { return *cbbs_[i]; }
+  /// Handle on the CBB of a local cell, or of local CID `i`.
+  cbb::Cbb cbb_at(const geom::IVec3& lcell) const;
+  cbb::Cbb cbb_by_index(int i) const { return cells_->cell(i); }
+  int num_cbbs() const { return cells_->num_cells(); }
 
   NodeId id() const { return id_; }
 
@@ -169,11 +170,11 @@ class FpgaNode : public sim::Component {
   std::uint64_t pairs_issued() const;
 
  private:
-  class PosExStation;
-  class FrcExStation;
-  class MigExStation;
-  friend class FrcExStation;
-  friend class MigExStation;
+  // The rings' station sets: the cells' table-driven stations in ring
+  // order, then the EX station (defined in node.cpp).
+  struct PosStations;
+  struct FrcStations;
+  struct MigStations;
 
   enum class State {
     kIdle,
@@ -190,14 +191,16 @@ class FpgaNode : public sim::Component {
   void tick_fsm(sim::Cycle now);
 
   bool all_positions_injected() const;
+  /// Every cell's MU pass is done and its migrations have left the ring.
+  bool local_mu_done() const;
   bool force_datapath_quiescent() const;
   bool frc_side_drained() const;
   bool mu_side_drained() const;
   void enter_force_phase(sim::Cycle now);
   void enter_motion_update(sim::Cycle now);
-  /// Re-arms the cached scheduler wakes of the CBBs after a mid-cycle phase
-  /// transition (see cbb_sched_).
-  void wake_cbbs(sim::Cycle now);
+  /// Re-arms the cached scheduler wake of the cell array after a mid-cycle
+  /// phase transition (see cells_sched_).
+  void wake_cells(sim::Cycle now);
   void complete_iteration(sim::Cycle now);
 
   static const char* phase_name_of(State state);
@@ -207,8 +210,14 @@ class FpgaNode : public sim::Component {
   void set_state(State next, sim::Cycle now);
   void sync_event(const char* name, sim::Cycle now);
 
-  geom::IVec3 node_of_lcid(const geom::IVec3& lcid) const;
   int local_delivery_count(const geom::IVec3& src_lcid) const;
+  bool is_local(const geom::IVec3& lcid) const {
+    const geom::IVec3& cpn = map_.cells_per_node();
+    return lcid.x < cpn.x && lcid.y < cpn.y && lcid.z < cpn.z;
+  }
+  /// The EX extraction: the global cell of a node-frame LCID that lies off
+  /// this node, and the node that owns it.
+  std::pair<geom::IVec3, NodeId> export_address(const geom::IVec3& lcid) const;
 
   NodeId id_;
   NodeConfig config_;
@@ -216,19 +225,18 @@ class FpgaNode : public sim::Component {
   geom::IVec3 node_coords_;
   std::vector<NodeId> neighbors_;
 
-  std::vector<std::unique_ptr<cbb::Cbb>> cbbs_;  // by local CID
+  std::unique_ptr<cbb::CellArray> cells_;  // cell index = local CID
 
-  std::vector<std::unique_ptr<ring::Ring<ring::PosToken>>> pos_rings_;
-  std::vector<std::unique_ptr<ring::Ring<ring::ForceToken>>> frc_rings_;
-  std::unique_ptr<ring::Ring<ring::MigrateToken>> mu_ring_;
+  std::vector<std::unique_ptr<ring::Ring<ring::PosToken, PosStations>>>
+      pos_rings_;
+  std::vector<std::unique_ptr<ring::Ring<ring::ForceToken, FrcStations>>>
+      frc_rings_;
+  std::unique_ptr<ring::Ring<ring::MigrateToken, MigStations>> mu_ring_;
 
-  // EX-side injection FIFOs (one per SPE ring) and stations.
+  // EX-side injection FIFOs (one per SPE ring).
   std::vector<std::unique_ptr<sim::Fifo<ring::PosToken>>> ex_pos_inject_;
   std::vector<std::unique_ptr<sim::Fifo<ring::ForceToken>>> ex_frc_inject_;
   std::unique_ptr<sim::Fifo<ring::MigrateToken>> ex_mig_inject_;
-  std::vector<std::unique_ptr<PosExStation>> pos_ex_;
-  std::vector<std::unique_ptr<FrcExStation>> frc_ex_;
-  std::unique_ptr<MigExStation> mig_ex_;
 
   net::Endpoint<net::PosRecord> pos_ep_;
   net::Endpoint<net::FrcRecord> frc_ep_;
@@ -256,12 +264,12 @@ class FpgaNode : public sim::Component {
   std::vector<sim::Cycle> force_phase_starts_;
 
   std::vector<std::unique_ptr<Gated>> gates_;
-  /// The scheduler-registered handle of each CBB (the Gated wrapper when
-  /// the datapath is gated). Phase transitions re-arm these components'
-  /// cached wakes: the node ticks before its datapath within the shard, so
-  /// a CBB's first tick of a new phase lands in the same cycle as the
-  /// transition — after the sweep already ran (DESIGN.md §13).
-  std::vector<sim::Component*> cbb_sched_;
+  /// The scheduler-registered handle of the cell array (the Gated wrapper
+  /// when the datapath is gated). Phase transitions re-arm its cached wake:
+  /// the node ticks before its datapath within the shard, so a cell's first
+  /// tick of a new phase lands in the same cycle as the transition — after
+  /// the sweep already ran (DESIGN.md §13).
+  sim::Component* cells_sched_ = nullptr;
 
   // Telemetry (null hub = disabled; handles resolved at construction).
   obs::Hub* obs_ = nullptr;

@@ -83,7 +83,7 @@ class Datapath {
 
   /// The filter acceptance test on exact fixed-point r² (§3.3).
   bool filter(std::uint64_t r2q) const {
-    return r2q < fixed::kR2One && r2q >= min_r2q_;
+    return (r2q < fixed::kR2One) & (r2q >= min_r2q_);
   }
 
   /// Force on particle `a` due to `b`, both in the same cell frame, given

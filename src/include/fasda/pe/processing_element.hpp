@@ -21,9 +21,16 @@
 // Backpressure: the stream only advances when the pair buffer can absorb a
 // worst-case burst (all loaded filters accepting), and retirement emits at
 // most one token per cycle into the CBB's arbiter FIFO.
+//
+// All PEs of one node live in one PeArray: per-PE scalar state in one
+// array, and the filter banks, pair buffers and force pipelines in flat
+// arrays with a fixed per-PE stride sized from PEConfig at construction.
+// A reference is stored once, in the reference pool its SPE's PEs share,
+// from the moment the CBB receives it until it retires; the CBB's queues
+// and the PE input FIFOs carry pool slots. The PEs are not scheduled
+// components; their owner (cbb::CellArray) ticks them in its own pass.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -59,16 +66,6 @@ struct PEConfig {
   std::size_t output_queue_depth = 8;   ///< retired neighbour-force tokens
 };
 
-/// Where home-side forces land (the cell's FC bank); implemented by the CBB.
-class ForceSink {
- public:
-  virtual ~ForceSink() = default;
-  /// Accumulates into FC[slot]; `fc_index` says which physical FC is
-  /// written (one per PE), for resource accounting only.
-  virtual void accumulate(std::uint16_t slot, const geom::Vec3f& force,
-                          int fc_index) = 0;
-};
-
 /// Test-only global probe: observes every pair issued into any force
 /// pipeline (home particle id, the reference, and the computed force on the
 /// home particle). Used by equivalence tests to diff pair multisets against
@@ -86,53 +83,97 @@ struct RetireProbe {
   static Fn hook;
 };
 
-class ProcessingElement : public sim::Component {
+/// Test-only global probe observing every Force Cache write: the owning
+/// cell, target slot, value, and source (fc index for PE-side writes, -1 for
+/// force-ring deliveries). Never set in production runs.
+struct FcProbe {
+  using Fn = std::function<void(const geom::IVec3& gcell, std::uint16_t slot,
+                                const geom::Vec3f& force, int source)>;
+  static Fn hook;
+};
+
+/// The Force Cache bank a PE writes its home-side forces into: one
+/// fixed-point accumulator per home slot, owned by the cell.
+struct ForceCache {
+  std::vector<fixed::ForceAccum>* slots = nullptr;
+  geom::IVec3 gcell;  ///< owning cell, for FcProbe
+  int fc_index = 0;   ///< which physical FC is written (resource accounting)
+};
+
+class PeArray {
  public:
-  /// `home` is the cell's particle array (the PC/HPC view this PE streams);
-  /// it must outlive the PE and only change between force phases.
-  ProcessingElement(std::string name, const PEConfig& config,
-                    const md::Datapath& datapath,
-                    const std::vector<CellParticle>* home, ForceSink* sink,
-                    int fc_index);
+  /// Index of a reference in a reference pool.
+  using RefSlot = std::uint32_t;
 
-  /// References in: the CBB dispatcher pushes here.
-  sim::Fifo<Reference>& input() { return input_; }
+  /// `count` PEs; each run of `pes_per_pool` consecutive PEs (one SPE)
+  /// shares a reference pool.
+  PeArray(const PEConfig& config, const md::Datapath& datapath, int count,
+          int pes_per_pool);
+
+  PeArray(const PeArray&) = delete;
+  PeArray& operator=(const PeArray&) = delete;
+
+  /// Binds PE `p` to the home particle array it streams (the PC/HPC view;
+  /// it must outlive the array and only change between force phases) and
+  /// the FC bank it accumulates into.
+  void bind(int p, const std::vector<CellParticle>* home, ForceCache fc);
+
+  int size() const { return static_cast<int>(lanes_.size()); }
+
+  /// Stores `ref` in pool `pool` until it retires; the slot is what the
+  /// CBB queues and dispatches.
+  RefSlot alloc_ref(int pool, const Reference& ref);
+
+  /// References in (pool slots of the PE's pool): the CBB dispatcher
+  /// pushes here.
+  sim::Fifo<RefSlot>& input(int p) { return inputs_[p]; }
+  const sim::Fifo<RefSlot>& input(int p) const { return inputs_[p]; }
   /// Retired neighbour forces out: the CBB arbiter pops from here.
-  sim::Fifo<ring::ForceToken>& output() { return output_; }
+  sim::Fifo<ring::ForceToken>& output(int p) { return outputs_[p]; }
+  const sim::Fifo<ring::ForceToken>& output(int p) const { return outputs_[p]; }
 
-  void tick(sim::Cycle now) override;
+  /// The input and output FIFOs of every PE, for scheduler registration.
+  void append_clocked(std::vector<sim::Clocked*>& out);
+
+  /// One cycle of PEs [first, last).
+  void tick(int first, int last, sim::Cycle now);
 
   /// Elision oracle: busy whenever a pass is streaming or anything is
   /// queued; an otherwise-empty PE with pairs in flight sleeps until the
   /// pipeline head completes (the only self-scheduled future event here).
-  sim::Cycle next_wake(sim::Cycle now) const override;
-  void skip_idle(sim::Cycle from, sim::Cycle to) override;
+  sim::Cycle next_wake(int p, sim::Cycle now) const;
+  void skip_idle(int p, sim::Cycle from, sim::Cycle to);
 
   /// No loaded references, empty pipeline/buffers, nothing retiring.
-  bool quiescent() const;
+  bool quiescent(int p) const;
 
   /// Begins a new force phase: home stream may have changed size.
-  void reset_phase();
+  void reset_phase(int p);
 
-  const sim::UtilCounter& pe_util() const { return pe_util_; }
-  const sim::UtilCounter& filter_util() const { return filter_util_; }
-  std::uint64_t pairs_issued() const { return pairs_issued_; }
-  std::uint64_t refs_processed() const { return refs_processed_; }
-  std::uint64_t zero_force_refs() const { return zero_force_refs_; }
+  const sim::UtilCounter& pe_util(int p) const { return lanes_[p].pe_util; }
+  const sim::UtilCounter& filter_util(int p) const {
+    return lanes_[p].filter_util;
+  }
+  std::uint64_t pairs_issued(int p) const { return lanes_[p].pairs_issued; }
+  std::uint64_t refs_processed(int p) const { return lanes_[p].refs_processed; }
+  std::uint64_t zero_force_refs(int p) const {
+    return lanes_[p].zero_force_refs;
+  }
 
  private:
-  /// Index into the reference slot pool. References used to be
-  /// heap-allocated shared_ptr<RefState>; the pool plus the parallel
-  /// position/min-stream arrays below keep the filter inner loop walking
-  /// contiguous memory (struct-of-arrays hot state).
-  using RefSlot = std::uint32_t;
-
   struct RefState {
     Reference ref;
     geom::Vec3f acc{};  ///< accumulated force on the reference
-    int pending = 0;    ///< pairs still in the pipeline
+    int pending = 0;    ///< pairs accepted but not yet out of the pipeline
     bool pass_done = false;
     bool any_pair = false;
+  };
+
+  /// An accepted pair, carrying the r² the filter computed for it.
+  struct PairCandidate {
+    RefSlot ref;
+    std::uint16_t home_slot;
+    std::uint64_t r2q;
   };
 
   struct PipelineEntry {
@@ -142,51 +183,63 @@ class ProcessingElement : public sim::Component {
     sim::Cycle completes_at;
   };
 
-  struct PairCandidate {
-    RefSlot ref;
-    std::uint16_t home_slot;
+  /// A PE's scalar state. Its filter bank, pair buffer and pipeline are
+  /// the PE's stride of the flat arrays below; the buffer and pipeline are
+  /// circular (head + size).
+  struct Lane {
+    int pool = 0;  ///< the SPE's reference pool
+    const std::vector<CellParticle>* home = nullptr;
+    ForceCache fc;
+    std::uint32_t loaded = 0;        ///< filters holding a reference
+    std::uint32_t stream_index = 0;  ///< next home particle of the pass
+    bool pass_active = false;
+    std::uint32_t pair_head = 0, pair_size = 0;
+    std::uint32_t pipe_head = 0, pipe_size = 0;
+    std::uint32_t retirable = 0;  ///< retiring refs with no pairs pending
+    sim::UtilCounter pe_util;
+    sim::UtilCounter filter_util;
+    std::uint64_t pairs_issued = 0;
+    std::uint64_t refs_processed = 0;
+    std::uint64_t zero_force_refs = 0;
   };
 
-  RefSlot alloc_ref();
-  void release_ref(RefSlot slot);
+  void tick_one(int p, sim::Cycle now);
+  void drain_pipeline(int p, Lane& lane, sim::Cycle now);
+  void issue_pair(int p, Lane& lane, sim::Cycle now);
+  void stream_and_filter(int p, Lane& lane);
+  void retire_references(int p, Lane& lane);
+  void reload_filters(int p, Lane& lane);
+  void accumulate(const Lane& lane, std::uint16_t slot, const geom::Vec3f& f);
 
-  void drain_pipeline(sim::Cycle now);
-  void issue_pair(sim::Cycle now);
-  void stream_and_filter();
-  void retire_references();
-  void reload_filters();
+  void release_ref(int p, RefSlot slot);
 
   PEConfig config_;
   const md::Datapath& datapath_;
-  const std::vector<CellParticle>* home_;
-  ForceSink* sink_;
-  int fc_index_;
+  std::uint32_t filters_;     ///< filter slots per PE
+  std::uint32_t pair_cap_;    ///< pair buffer slots per PE
+  std::uint32_t pipe_cap_;    ///< pipeline slots per PE
+  int pes_per_pool_;
 
-  sim::Fifo<Reference> input_;
-  sim::Fifo<ring::ForceToken> output_;
+  std::vector<Lane> lanes_;
+  std::vector<sim::Fifo<RefSlot>> inputs_;
+  std::vector<sim::Fifo<ring::ForceToken>> outputs_;
 
-  std::vector<RefState> pool_;        ///< reference slot pool (grows on demand)
-  std::vector<RefSlot> free_slots_;
-
-  std::vector<RefSlot> filters_;      ///< loaded references
-  // Hot mirrors of the loaded filters, walked every streaming cycle:
-  // reference position and the first stream index it pairs with (home
-  // references only pair below their own index).
+  // Filter banks, `filters_` slots per PE: the loaded reference's position
+  // and pool slot, and the first stream index it pairs with (home
+  // references only pair above their own index).
   std::vector<fixed::FixedVec3> filter_pos_;
   std::vector<std::uint32_t> filter_min_stream_;
+  std::vector<RefSlot> filter_ref_;
 
-  std::vector<RefSlot> retiring_;
-  std::size_t retirable_ = 0;  ///< retiring_ entries with no pairs pending
-  std::deque<PairCandidate> pair_buffer_;
-  std::deque<PipelineEntry> pipeline_;
-  std::size_t stream_index_ = 0;
-  bool pass_active_ = false;
+  std::vector<PairCandidate> pairs_;      ///< pair_cap_ per PE
+  std::vector<PipelineEntry> pipeline_;  ///< pipe_cap_ per PE
 
-  sim::UtilCounter pe_util_;
-  sim::UtilCounter filter_util_;
-  std::uint64_t pairs_issued_ = 0;
-  std::uint64_t refs_processed_ = 0;
-  std::uint64_t zero_force_refs_ = 0;
+  // Reference pools (grow on demand; freed slots are reused last-in
+  // first-out, which keeps the live references in few cache lines), per
+  // pool. The retiring lists, per PE.
+  std::vector<std::vector<RefState>> pool_;
+  std::vector<std::vector<RefSlot>> free_slots_;
+  std::vector<std::vector<RefSlot>> retiring_;
 };
 
 }  // namespace fasda::pe

@@ -100,57 +100,109 @@ class Component {
   Cycle sched_wake_ = 0;
 };
 
-/// Two-phase FIFO: push() stages (visible next cycle); pop()/front() operate
-/// on the committed view. Intended for a single consumer per FIFO. Callers
-/// must check empty() first; pop()/front() on an empty committed queue throw.
-///
-/// Storage is one power-of-two circular buffer holding the committed items
-/// followed by the staged ones, so commit() only moves the boundary. The
-/// buffer grows on demand (doubling) and is never sized to `capacity` up
-/// front: a FIFO that is never pushed allocates nothing.
+/// Single-phase bounded queue: one power-of-two circular buffer that grows
+/// on demand (doubling) up to `capacity` items and is never sized to the
+/// bound up front, so a queue that is never pushed allocates nothing.
+/// Copying copies the items (the scheduler-facing Fifo wraps one). For
+/// queues whose producer and consumer are ticked by the same component in a
+/// fixed order, or whose producer always ticks after its consumer within a
+/// cycle (where a staged push and a plain push are indistinguishable).
 template <class T>
-class Fifo : public Clocked {
+class Queue {
  public:
-  explicit Fifo(std::size_t capacity) : capacity_(capacity) {}
+  explicit Queue(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Space check against committed + staged occupancy.
-  bool can_push() const { return size_ + staged_ < capacity_; }
-
-  /// Stages an item; returns false (and drops nothing) when full.
-  bool push(T value) {
-    if (!can_push()) return false;
-    if (staged_ == 0 && staged_list_ != nullptr) staged_list_->push_back(this);
-    const std::size_t used = size_ + staged_;
-    if (used == buf_.size()) grow();
-    buf_[(head_ + used) & (buf_.size() - 1)] = std::move(value);
-    ++staged_;
-    return true;
+  Queue(const Queue& o) : capacity_(o.capacity_) {
+    for (std::size_t i = 0; i < o.size_; ++i) push(o.buf_[(o.head_ + i) & o.mask_]);
   }
+  Queue& operator=(const Queue&) = delete;
 
+  bool can_push() const { return size_ < capacity_; }
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Committed + staged: used by drain/quiescence checks, not by datapaths.
-  std::size_t total_occupancy() const { return size_ + staged_; }
-
-  const T& front() const {
-    if (size_ == 0) throw std::logic_error("Fifo::front on empty committed queue");
-    return buf_[head_];
+  /// Appends an item; returns false (and drops nothing) when full.
+  bool push(T value) {
+    if (!can_push()) return false;
+    if (size_ == slots_) grow();
+    buf_[(head_ + size_) & mask_] = std::move(value);
+    ++size_;
+    return true;
   }
 
+  /// Oldest item; the queue must not be empty.
+  const T& front() const { return buf_[head_]; }
   T pop() {
-    if (size_ == 0) throw std::logic_error("Fifo::pop on empty committed queue");
     T v = std::move(buf_[head_]);
-    head_ = (head_ + 1) & (buf_.size() - 1);
+    head_ = (head_ + 1) & mask_;
     --size_;
     return v;
   }
 
-  void commit() override {
-    size_ += staged_;
-    staged_ = 0;
+ private:
+  /// Called only when full: copies the occupied run to the start of a
+  /// buffer twice the size.
+  void grow() {
+    const std::size_t slots = slots_ == 0 ? 4 : 2 * slots_;
+    std::unique_ptr<T[]> buf(new T[slots]);
+    for (std::size_t i = 0; i < size_; ++i) {
+      buf[i] = std::move(buf_[(head_ + i) & mask_]);
+    }
+    buf_ = std::move(buf);
+    slots_ = slots;
+    mask_ = slots - 1;
+    head_ = 0;
   }
+
+  std::unique_ptr<T[]> buf_;  ///< null or a power-of-two number of slots
+  std::size_t slots_ = 0;
+  std::size_t mask_ = 0;      ///< slots_ - 1
+  std::size_t head_ = 0;      ///< oldest item
+  std::size_t size_ = 0;
+  std::size_t capacity_;
+};
+
+/// Two-phase FIFO: push() stages (visible next cycle); pop()/front() operate
+/// on the committed view. Intended for a single consumer per FIFO. Callers
+/// must check empty() first; pop()/front() on an empty committed queue throw.
+///
+/// Storage is one Queue holding the committed items followed by the staged
+/// ones, so commit() only moves the boundary.
+template <class T>
+class Fifo : public Clocked {
+ public:
+  explicit Fifo(std::size_t capacity) : items_(capacity) {}
+
+  /// Space check against committed + staged occupancy.
+  bool can_push() const { return items_.can_push(); }
+
+  /// Stages an item; returns false (and drops nothing) when full.
+  bool push(T value) {
+    if (!items_.push(std::move(value))) return false;
+    if (staged_ == 0 && staged_list_ != nullptr) staged_list_->push_back(this);
+    ++staged_;
+    return true;
+  }
+
+  bool empty() const { return items_.size() == staged_; }
+  std::size_t size() const { return items_.size() - staged_; }
+  std::size_t capacity() const { return items_.capacity(); }
+
+  /// Committed + staged: used by drain/quiescence checks, not by datapaths.
+  std::size_t total_occupancy() const { return items_.size(); }
+
+  const T& front() const {
+    if (empty()) throw std::logic_error("Fifo::front on empty committed queue");
+    return items_.front();
+  }
+
+  T pop() {
+    if (empty()) throw std::logic_error("Fifo::pop on empty committed queue");
+    return items_.pop();
+  }
+
+  void commit() override { staged_ = 0; }
 
   bool report_staging_to(std::vector<Clocked*>* list) override {
     staged_list_ = list;
@@ -158,20 +210,8 @@ class Fifo : public Clocked {
   }
 
  private:
-  /// Called only when full: unwraps the occupied run to start at index 0,
-  /// then doubles the buffer.
-  void grow() {
-    std::rotate(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_),
-                buf_.end());
-    buf_.resize(buf_.empty() ? 4 : 2 * buf_.size());
-    head_ = 0;
-  }
-
-  std::vector<T> buf_;     ///< empty or a power-of-two number of slots
-  std::size_t head_ = 0;   ///< oldest committed item
-  std::size_t size_ = 0;   ///< committed items
-  std::size_t staged_ = 0; ///< pushes since the last commit, after the committed run
-  std::size_t capacity_;
+  Queue<T> items_;
+  std::size_t staged_ = 0;  ///< pushes since the last commit, after the committed run
   std::vector<Clocked*>* staged_list_ = nullptr;  ///< see report_staging_to
 };
 

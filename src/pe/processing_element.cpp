@@ -1,213 +1,294 @@
 #include "fasda/pe/processing_element.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
+
 namespace fasda::pe {
 
 PairProbe::Fn PairProbe::hook;
 RetireProbe::Fn RetireProbe::hook;
+FcProbe::Fn FcProbe::hook;
 
-ProcessingElement::ProcessingElement(std::string name, const PEConfig& config,
-                                     const md::Datapath& datapath,
-                                     const std::vector<CellParticle>* home,
-                                     ForceSink* sink, int fc_index)
-    : Component(std::move(name)),
-      config_(config),
+PeArray::PeArray(const PEConfig& config, const md::Datapath& datapath,
+                 int count, int pes_per_pool)
+    : config_(config),
       datapath_(datapath),
-      home_(home),
-      sink_(sink),
-      fc_index_(fc_index),
-      input_(config.input_queue_depth),
-      output_(config.output_queue_depth) {}
+      filters_(static_cast<std::uint32_t>(std::max(config.num_filters, 0))),
+      pair_cap_(static_cast<std::uint32_t>(
+          std::max<std::size_t>(config.pair_buffer_depth, 1))),
+      // One issue per cycle and a fixed latency: at most `latency` pairs are
+      // in flight after any tick.
+      pipe_cap_(static_cast<std::uint32_t>(
+          std::max(config.pipeline_latency, 0) + 1)),
+      pes_per_pool_(std::max(pes_per_pool, 1)),
+      lanes_(static_cast<std::size_t>(count)),
+      inputs_(static_cast<std::size_t>(count),
+              sim::Fifo<RefSlot>(config.input_queue_depth)),
+      outputs_(static_cast<std::size_t>(count),
+               sim::Fifo<ring::ForceToken>(config.output_queue_depth)),
+      filter_pos_(static_cast<std::size_t>(count) * filters_),
+      filter_min_stream_(static_cast<std::size_t>(count) * filters_),
+      filter_ref_(static_cast<std::size_t>(count) * filters_),
+      pairs_(static_cast<std::size_t>(count) * pair_cap_),
+      pipeline_(static_cast<std::size_t>(count) * pipe_cap_),
+      pool_(static_cast<std::size_t>((count + pes_per_pool_ - 1) / pes_per_pool_)),
+      free_slots_(pool_.size()),
+      retiring_(static_cast<std::size_t>(count)) {
+  for (int p = 0; p < count; ++p) lanes_[p].pool = p / pes_per_pool_;
+}
 
-ProcessingElement::RefSlot ProcessingElement::alloc_ref() {
-  if (!free_slots_.empty()) {
-    const RefSlot slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
+void PeArray::bind(int p, const std::vector<CellParticle>* home,
+                   ForceCache fc) {
+  lanes_[p].home = home;
+  lanes_[p].fc = fc;
+}
+
+void PeArray::append_clocked(std::vector<sim::Clocked*>& out) {
+  for (auto& f : inputs_) out.push_back(&f);
+  for (auto& f : outputs_) out.push_back(&f);
+}
+
+PeArray::RefSlot PeArray::alloc_ref(int pool, const Reference& ref) {
+  std::vector<RefSlot>& free = free_slots_[pool];
+  RefSlot slot;
+  if (!free.empty()) {
+    slot = free.back();
+    free.pop_back();
+    pool_[pool][slot] = RefState{ref};
+  } else {
+    slot = static_cast<RefSlot>(pool_[pool].size());
+    pool_[pool].push_back(RefState{ref});
   }
-  pool_.emplace_back();
-  return static_cast<RefSlot>(pool_.size() - 1);
+  return slot;
 }
 
-void ProcessingElement::release_ref(RefSlot slot) {
-  pool_[slot] = RefState{};
-  free_slots_.push_back(slot);
+void PeArray::release_ref(int p, RefSlot slot) {
+  free_slots_[lanes_[p].pool].push_back(slot);
 }
 
-void ProcessingElement::tick(sim::Cycle now) {
+void PeArray::accumulate(const Lane& lane, std::uint16_t slot,
+                         const geom::Vec3f& f) {
+  assert(slot < lane.fc.slots->size());
+  if (FcProbe::hook) FcProbe::hook(lane.fc.gcell, slot, f, lane.fc.fc_index);
+  (*lane.fc.slots)[slot].add(f);
+}
+
+void PeArray::tick(int first, int last, sim::Cycle now) {
+  for (int p = first; p < last; ++p) tick_one(p, now);
+}
+
+void PeArray::tick_one(int p, sim::Cycle now) {
+  Lane& lane = lanes_[p];
   // Order within a cycle mirrors the RTL stages back-to-front so each stage
-  // consumes state its upstream produced in *earlier* cycles.
-  drain_pipeline(now);
-  issue_pair(now);
-  stream_and_filter();
-  retire_references();
-  if (!pass_active_) reload_filters();
+  // consumes state its upstream produced in *earlier* cycles. Each stage is
+  // entered only when it has something to act on.
+  if (lane.pipe_size != 0) drain_pipeline(p, lane, now);
+  if (lane.pair_size != 0) {
+    issue_pair(p, lane, now);
+  } else {
+    lane.pe_util.record(0, 1, false);
+  }
+  if (lane.pass_active) stream_and_filter(p, lane);
+  if (lane.retirable != 0) retire_references(p, lane);
+  if (!lane.pass_active && !inputs_[p].empty()) reload_filters(p, lane);
 
-  const bool active = pass_active_ || !pipeline_.empty() || !pair_buffer_.empty();
-  pe_util_.record(0, 0, active);  // work/capacity recorded in issue_pair
+  const bool active =
+      lane.pass_active || lane.pipe_size != 0 || lane.pair_size != 0;
+  lane.pe_util.record(0, 0, active);  // work/capacity recorded in issue_pair
 }
 
-sim::Cycle ProcessingElement::next_wake(sim::Cycle now) const {
+sim::Cycle PeArray::next_wake(int p, sim::Cycle now) const {
+  const Lane& lane = lanes_[p];
   // A retirable reference means the arbiter acts (or keeps stalling on a
   // full output, which still re-evaluates every cycle).
-  if (pass_active_ || !pair_buffer_.empty() || !input_.empty() ||
-      retirable_ > 0) {
+  if (lane.pass_active || lane.pair_size != 0 || !inputs_[p].empty() ||
+      lane.retirable > 0) {
     return now;
   }
-  if (!pipeline_.empty()) return std::max(pipeline_.front().completes_at, now);
+  if (lane.pipe_size != 0) {
+    const PipelineEntry& head =
+        pipeline_[static_cast<std::size_t>(p) * pipe_cap_ + lane.pipe_head];
+    return std::max(head.completes_at, now);
+  }
   return sim::kNeverCycle;
 }
 
-void ProcessingElement::skip_idle(sim::Cycle from, sim::Cycle to) {
+void PeArray::skip_idle(int p, sim::Cycle from, sim::Cycle to) {
   // Replays the bookkeeping `to - from` idle ticks accrue: issue_pair's
   // empty-buffer record(0, 1, false) each cycle, plus the end-of-tick
   // active flag — true exactly while in-flight pairs sit in the pipeline,
   // the one sleepable state where tick still counts the PE as functioning
   // (we only sleep on a non-empty pipeline waiting for its head's
   // completes_at, so the flag is constant across the window).
-  pe_util_.record(0, to - from, false);
-  if (!pipeline_.empty()) pe_util_.active_cycles += to - from;
+  Lane& lane = lanes_[p];
+  lane.pe_util.record(0, to - from, false);
+  if (lane.pipe_size != 0) lane.pe_util.active_cycles += to - from;
 }
 
-void ProcessingElement::drain_pipeline(sim::Cycle now) {
-  while (!pipeline_.empty() && pipeline_.front().completes_at <= now) {
-    const PipelineEntry e = pipeline_.front();
-    pipeline_.pop_front();
-    sink_->accumulate(e.home_slot, e.force_on_home, fc_index_);
-    RefState& r = pool_[e.ref];
+void PeArray::drain_pipeline(int p, Lane& lane, sim::Cycle now) {
+  PipelineEntry* pipe = &pipeline_[static_cast<std::size_t>(p) * pipe_cap_];
+  while (lane.pipe_size != 0 && pipe[lane.pipe_head].completes_at <= now) {
+    const PipelineEntry& e = pipe[lane.pipe_head];
+    accumulate(lane, e.home_slot, e.force_on_home);
+    RefState& r = pool_[lane.pool][e.ref];
     r.acc -= e.force_on_home;
-    if (--r.pending == 0 && r.pass_done) ++retirable_;
+    if (--r.pending == 0 && r.pass_done) ++lane.retirable;
+    if (++lane.pipe_head == pipe_cap_) lane.pipe_head = 0;
+    --lane.pipe_size;
   }
 }
 
-void ProcessingElement::issue_pair(sim::Cycle now) {
-  if (pair_buffer_.empty()) {
-    pe_util_.record(0, 1, false);
-    return;
-  }
-  const PairCandidate c = pair_buffer_.front();
-  pair_buffer_.pop_front();
-  const CellParticle& home = (*home_)[c.home_slot];
-  const RefState& r = pool_[c.ref];
-  PipelineEntry e;
-  e.force_on_home = datapath_.pair_force(fixed::r2_fixed(home.pos, r.ref.pos),
-                                      home.pos, home.elem, r.ref.pos,
-                                      r.ref.elem);
+void PeArray::issue_pair(int p, Lane& lane, sim::Cycle now) {
+  const PairCandidate c =
+      pairs_[static_cast<std::size_t>(p) * pair_cap_ + lane.pair_head];
+  if (++lane.pair_head == pair_cap_) lane.pair_head = 0;
+  --lane.pair_size;
+  const CellParticle& home = (*lane.home)[c.home_slot];
+  const RefState& r = pool_[lane.pool][c.ref];
+  assert(lane.pipe_size < pipe_cap_);
+  std::uint32_t tail = lane.pipe_head + lane.pipe_size;
+  if (tail >= pipe_cap_) tail -= pipe_cap_;
+  PipelineEntry& e = pipeline_[static_cast<std::size_t>(p) * pipe_cap_ + tail];
+  e.force_on_home =
+      datapath_.pair_force(c.r2q, home.pos, home.elem, r.ref.pos, r.ref.elem);
   e.home_slot = c.home_slot;
   e.ref = c.ref;
   e.completes_at = now + static_cast<sim::Cycle>(config_.pipeline_latency);
-  if (PairProbe::hook) {
-    PairProbe::hook((*home_)[e.home_slot].id, r.ref, e.force_on_home);
-  }
-  pipeline_.push_back(e);
-  ++pairs_issued_;
-  pe_util_.record(1, 1, false);
+  ++lane.pipe_size;
+  if (PairProbe::hook) PairProbe::hook(home.id, r.ref, e.force_on_home);
+  ++lane.pairs_issued;
+  lane.pe_util.record(1, 1, false);
 }
 
-void ProcessingElement::stream_and_filter() {
-  if (!pass_active_) return;
+void PeArray::stream_and_filter(int p, Lane& lane) {
+  const auto num_filters = static_cast<std::uint64_t>(config_.num_filters);
   // Worst case every loaded filter accepts this cycle; only advance when the
   // buffer can take the burst (the hardware's filter-output backpressure).
-  if (pair_buffer_.size() + filters_.size() > config_.pair_buffer_depth) {
-    filter_util_.record(0, static_cast<std::uint64_t>(config_.num_filters), true);
+  if (lane.pair_size + lane.loaded > config_.pair_buffer_depth) {
+    lane.filter_util.record(0, num_filters, true);
     return;
   }
-  const CellParticle& home = (*home_)[stream_index_];
-  const std::uint32_t si = static_cast<std::uint32_t>(stream_index_);
-  const std::size_t loaded = filters_.size();
-  for (std::size_t f = 0; f < loaded; ++f) {
-    if (si < filter_min_stream_[f]) continue;
-    const std::uint64_t r2q = fixed::r2_fixed(filter_pos_[f], home.pos);
-    if (datapath_.filter(r2q)) {
+  const std::size_t bank = static_cast<std::size_t>(p) * filters_;
+  const fixed::FixedVec3& home = (*lane.home)[lane.stream_index].pos;
+  const std::uint32_t si = lane.stream_index;
+  // The filter bank's verdicts for this home particle, worked out for a
+  // run of up to 64 filters before any is acted on (acceptance is
+  // data-dependent, so the mask keeps the compare out of the branch
+  // predictor's way), then the run's accepted pairs in filter order.
+  PairCandidate* buffer = &pairs_[static_cast<std::size_t>(p) * pair_cap_];
+  std::vector<RefState>& pool = pool_[lane.pool];
+  for (std::uint32_t base = 0; base < lane.loaded; base += 64) {
+    const std::uint32_t run = std::min<std::uint32_t>(lane.loaded - base, 64);
+    std::uint64_t r2q[64];
+    std::uint64_t accepted = 0;
+    for (std::uint32_t f = 0; f < run; ++f) {
+      const std::size_t slot = bank + base + f;
+      r2q[f] = fixed::r2_fixed(filter_pos_[slot], home);
+      const bool pass =
+          (si >= filter_min_stream_[slot]) & datapath_.filter(r2q[f]);
+      accepted |= static_cast<std::uint64_t>(pass) << f;
+    }
+    for (; accepted != 0; accepted &= accepted - 1) {
+      const auto f = static_cast<std::uint32_t>(std::countr_zero(accepted));
       // `pending` counts from acceptance, not pipeline issue: a reference
       // must not retire while accepted pairs still wait in the buffer.
-      RefState& r = pool_[filters_[f]];
+      const RefSlot ref = filter_ref_[bank + base + f];
+      RefState& r = pool[ref];
       r.pending++;
       r.any_pair = true;
-      pair_buffer_.push_back(
-          PairCandidate{filters_[f], static_cast<std::uint16_t>(stream_index_)});
+      std::uint32_t tail = lane.pair_head + lane.pair_size;
+      if (tail >= pair_cap_) tail -= pair_cap_;
+      buffer[tail] =
+          PairCandidate{ref, static_cast<std::uint16_t>(si), r2q[f]};
+      ++lane.pair_size;
     }
   }
-  filter_util_.record(loaded, static_cast<std::uint64_t>(config_.num_filters),
-                      true);
+  lane.filter_util.record(lane.loaded, num_filters, true);
 
-  if (++stream_index_ >= home_->size()) {
+  if (++lane.stream_index >= lane.home->size()) {
     // Pass complete: all loaded references start retiring.
-    for (const RefSlot slot : filters_) {
-      pool_[slot].pass_done = true;
-      if (pool_[slot].pending == 0) ++retirable_;
-      retiring_.push_back(slot);
+    for (std::uint32_t f = 0; f < lane.loaded; ++f) {
+      const RefSlot ref = filter_ref_[bank + f];
+      RefState& r = pool_[lane.pool][ref];
+      r.pass_done = true;
+      if (r.pending == 0) ++lane.retirable;
+      retiring_[p].push_back(ref);
     }
-    filters_.clear();
-    filter_pos_.clear();
-    filter_min_stream_.clear();
-    pass_active_ = false;
-    stream_index_ = 0;
+    lane.loaded = 0;
+    lane.pass_active = false;
+    lane.stream_index = 0;
   }
 }
 
-void ProcessingElement::retire_references() {
-  // At most one retirement per cycle (the FRN-side arbiter).
-  if (retirable_ == 0) return;
-  for (auto it = retiring_.begin(); it != retiring_.end(); ++it) {
-    RefState& r = pool_[*it];
-    if (!r.pass_done || r.pending != 0) continue;
+void PeArray::retire_references(int p, Lane& lane) {
+  // At most one retirement per cycle (the FRN-side arbiter), oldest first.
+  std::vector<RefSlot>& retiring = retiring_[p];
+  std::vector<RefState>& pool = pool_[lane.pool];
+  for (auto it = retiring.begin(); it != retiring.end(); ++it) {
+    RefState& r = pool[*it];
+    if (r.pending != 0) continue;  // every retiring reference is pass_done
     if (r.ref.is_home) {
-      sink_->accumulate(r.ref.home_index, r.acc, fc_index_);
+      accumulate(lane, r.ref.home_index, r.acc);
     } else if (r.any_pair) {
-      if (!output_.can_push()) return;  // stall, retry next cycle
+      sim::Fifo<ring::ForceToken>& out = outputs_[p];
+      if (!out.can_push()) return;  // stall, retry next cycle
       const ring::ForceToken token{r.ref.src_lcid, r.acc, r.ref.slot};
       if (RetireProbe::hook) RetireProbe::hook(token);
-      output_.push(token);
+      out.push(token);
     } else {
-      ++zero_force_refs_;
+      ++lane.zero_force_refs;
     }
-    ++refs_processed_;
-    --retirable_;
-    release_ref(*it);
-    retiring_.erase(it);
+    ++lane.refs_processed;
+    --lane.retirable;
+    release_ref(p, *it);
+    retiring.erase(it);
     return;
   }
 }
 
-void ProcessingElement::reload_filters() {
-  if (home_->empty()) {
+void PeArray::reload_filters(int p, Lane& lane) {
+  sim::Fifo<RefSlot>& input = inputs_[p];
+  if (lane.home->empty()) {
     // An empty home cell still receives broadcasts from its neighbours;
     // they pair with nothing and are discarded like any zero-force
     // reference, otherwise the node could never drain (§5.4).
-    while (!input_.empty()) {
-      input_.pop();
-      ++zero_force_refs_;
-      ++refs_processed_;
+    while (!input.empty()) {
+      release_ref(p, input.pop());
+      ++lane.zero_force_refs;
+      ++lane.refs_processed;
     }
     return;
   }
-  while (static_cast<int>(filters_.size()) < config_.num_filters &&
-         !input_.empty()) {
-    const RefSlot slot = alloc_ref();
-    RefState& r = pool_[slot];
-    r.ref = input_.pop();
-    filters_.push_back(slot);
-    filter_pos_.push_back(r.ref.pos);
+  const std::size_t bank = static_cast<std::size_t>(p) * filters_;
+  std::vector<RefState>& pool = pool_[lane.pool];
+  while (lane.loaded < filters_ && !input.empty()) {
+    const RefSlot slot = input.pop();
+    const RefState& r = pool[slot];
+    filter_ref_[bank + lane.loaded] = slot;
+    filter_pos_[bank + lane.loaded] = r.ref.pos;
     // Home references pair only against later stream indices (each
     // intra-cell pair examined once); neighbours pair from index 0.
-    filter_min_stream_.push_back(
-        r.ref.is_home ? static_cast<std::uint32_t>(r.ref.home_index) + 1u : 0u);
+    filter_min_stream_[bank + lane.loaded] =
+        r.ref.is_home ? static_cast<std::uint32_t>(r.ref.home_index) + 1u : 0u;
+    ++lane.loaded;
   }
-  if (!filters_.empty()) {
-    pass_active_ = true;
-    stream_index_ = 0;
+  if (lane.loaded != 0) {
+    lane.pass_active = true;
+    lane.stream_index = 0;
   }
 }
 
-bool ProcessingElement::quiescent() const {
-  return filters_.empty() && retiring_.empty() && pair_buffer_.empty() &&
-         pipeline_.empty() && input_.total_occupancy() == 0 &&
-         output_.total_occupancy() == 0;
+bool PeArray::quiescent(int p) const {
+  const Lane& lane = lanes_[p];
+  return lane.loaded == 0 && retiring_[p].empty() && lane.pair_size == 0 &&
+         lane.pipe_size == 0 && inputs_[p].total_occupancy() == 0 &&
+         outputs_[p].total_occupancy() == 0;
 }
 
-void ProcessingElement::reset_phase() {
-  stream_index_ = 0;
-  pass_active_ = false;
+void PeArray::reset_phase(int p) {
+  lanes_[p].stream_index = 0;
+  lanes_[p].pass_active = false;
 }
 
 }  // namespace fasda::pe

@@ -14,10 +14,17 @@ struct CbbHarness {
       : ff(md::ForceField::sodium()),
         model(ff, 8.5, interp::InterpConfig{}, md::ForceTerms{}, 2.0, 8.5),
         map({1, 1, 1}, {3, 3, 3}),
-        block("cbb", config, model, map, {0, 0, 0}, lcell) {
+        cells("cells", config, model, map, {0, 0, 0}, {lcell}),
+        block(cells.cell(0)) {
     spes_ = config.spes;
-    for (sim::Component* c : block.components()) scheduler.add(c);
-    for (sim::Clocked* c : block.clocked()) scheduler.add_clocked(c);
+    scheduler.add(&cells);
+    for (sim::Clocked* c : cells.clocked()) scheduler.add_clocked(c);
+    // No rings here to commit the injection FIFOs.
+    for (int s = 0; s < spes_; ++s) {
+      scheduler.add_clocked(&cells.injector<ring::PosToken>(0, s));
+      scheduler.add_clocked(&cells.injector<ring::ForceToken>(0, s));
+    }
+    scheduler.add_clocked(&cells.injector<ring::MigrateToken>(0, 0));
   }
 
   void fill(int count, std::uint64_t seed = 3) {
@@ -61,6 +68,7 @@ struct CbbHarness {
   md::ForceField ff;
   md::Datapath model;
   idmap::ClusterMap map;
+  CellArray cells;
   Cbb block;
   sim::Scheduler scheduler;
 };
@@ -162,14 +170,14 @@ TEST(Cbb, MuStationOnlyAcceptsOwnCell) {
   mine.dest_lcid = {1, 1, 1};
   ring::MigrateToken other;
   other.dest_lcid = {0, 1, 1};
-  using Action = ring::Station<ring::MigrateToken>::Action;
+  using Action = ring::Action;
   EXPECT_EQ(h.block.mu_station().classify(mine), Action::kDeliverAndDrop);
   EXPECT_EQ(h.block.mu_station().classify(other), Action::kPass);
 }
 
 TEST(Cbb, PosStationAcceptsForwardNeighborsOnly) {
   CbbHarness h;  // cell (1,1,1) in a 3x3x3 single node
-  using Action = ring::Station<ring::PosToken>::Action;
+  using Action = ring::Action;
   ring::PosToken token;
   token.deliveries_remaining = 5;
   // (0,1,1) -> (1,1,1) is +x: forward, so the PRN accepts.
@@ -190,7 +198,7 @@ TEST(Cbb, FrcStationMatchesExactCell) {
   CbbHarness h;
   h.fill(4);
   h.block.begin_force_phase();  // sizes the force array
-  using Action = ring::Station<ring::ForceToken>::Action;
+  using Action = ring::Action;
   ring::ForceToken token;
   token.dest_lcid = {1, 1, 1};
   token.slot = 2;
@@ -209,13 +217,15 @@ TEST(Cbb, RemoteOfferFiresForBoundaryCells) {
   md::Datapath model(ff, 8.5, interp::InterpConfig{}, md::ForceTerms{}, 2.0,
                      8.5);
   idmap::ClusterMap map({2, 2, 2}, {2, 2, 2});
-  Cbb block("cbb", CbbConfig{}, model, map, {0, 0, 0}, {1, 1, 1});
+  CellArray cells("cells", CbbConfig{}, model, map, {0, 0, 0}, {{1, 1, 1}});
+  Cbb block = cells.cell(0);
   int offers = 0;
-  block.set_remote_position_sink([&](const RemotePosition&) { ++offers; });
+  cells.set_remote_position_sink(0, [&](const RemotePosition&) { ++offers; });
 
   sim::Scheduler scheduler;
-  for (sim::Component* c : block.components()) scheduler.add(c);
-  for (sim::Clocked* c : block.clocked()) scheduler.add_clocked(c);
+  scheduler.add(&cells);
+  for (sim::Clocked* c : cells.clocked()) scheduler.add_clocked(c);
+  scheduler.add_clocked(&cells.injector<ring::PosToken>(0, 0));
   for (int i = 0; i < 4; ++i) {
     pe::CellParticle p;
     p.pos = {fixed::FixedCoord::from_cell_offset(2, 0.5),

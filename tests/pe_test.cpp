@@ -9,13 +9,10 @@
 namespace fasda::pe {
 namespace {
 
-class CaptureSink : public ForceSink {
- public:
+/// The home-side forces a run wrote into the PE's Force Cache, read out
+/// after the run.
+struct CaptureSink {
   explicit CaptureSink(std::size_t slots) : forces(slots) {}
-  void accumulate(std::uint16_t slot, const geom::Vec3f& force, int) override {
-    ASSERT_LT(slot, forces.size());
-    forces[slot] += force;
-  }
   std::vector<geom::Vec3f> forces;
 };
 
@@ -33,14 +30,62 @@ class OutputDrain : public sim::Component {
   sim::Fifo<ring::ForceToken>* out_;
 };
 
+/// PE 0's input as the dispatcher feeds it: each reference is stored in
+/// the PE's pool and its slot queued.
+class InputPort {
+ public:
+  explicit InputPort(PeArray* array) : array_(array) {}
+  bool push(const Reference& ref) {
+    if (!array_->input(0).can_push()) return false;
+    return array_->input(0).push(array_->alloc_ref(0, ref));
+  }
+  void commit() { array_->input(0).commit(); }
+
+ private:
+  PeArray* array_;
+};
+
+/// The single PE under test: PE 0 of a one-PE array, ticked by the
+/// scheduler like the cell array ticks its PEs.
+class SinglePe : public sim::Component {
+ public:
+  SinglePe(const PEConfig& config, const md::Datapath& model,
+           const std::vector<CellParticle>* home,
+           std::vector<fixed::ForceAccum>* fc)
+      : Component("pe"), array_(config, model, 1, 1) {
+    array_.bind(0, home, ForceCache{fc, {}, 0});
+  }
+  void tick(sim::Cycle now) override { array_.tick(0, 1, now); }
+  sim::Cycle next_wake(sim::Cycle now) const override {
+    return array_.next_wake(0, now);
+  }
+  void skip_idle(sim::Cycle from, sim::Cycle to) override {
+    array_.skip_idle(0, from, to);
+  }
+
+  InputPort input() { return InputPort(&array_); }
+  sim::Fifo<PeArray::RefSlot>& input_fifo() { return array_.input(0); }
+  sim::Fifo<ring::ForceToken>& output() { return array_.output(0); }
+  bool quiescent() const { return array_.quiescent(0); }
+  const sim::UtilCounter& pe_util() const { return array_.pe_util(0); }
+  const sim::UtilCounter& filter_util() const { return array_.filter_util(0); }
+  std::uint64_t pairs_issued() const { return array_.pairs_issued(0); }
+  std::uint64_t refs_processed() const { return array_.refs_processed(0); }
+  std::uint64_t zero_force_refs() const { return array_.zero_force_refs(0); }
+
+ private:
+  PeArray array_;
+};
+
 struct PeHarness {
   PeHarness(int num_home, std::uint64_t seed = 11,
             const PEConfig& config = PEConfig{})
       : ff(md::ForceField::sodium()),
         model(ff, 8.5, interp::InterpConfig{}, md::ForceTerms{}, 2.0, 8.5),
         home(),
+        fc(static_cast<std::size_t>(num_home)),
         sink(num_home),
-        pe("pe", config, model, &home, &sink, 0),
+        pe(config, model, &home, &fc),
         drain(&pe.output()) {
     util::Xoshiro256 rng(seed);
     for (int i = 0; i < num_home; ++i) {
@@ -54,7 +99,7 @@ struct PeHarness {
     }
     scheduler.add(&pe);
     scheduler.add(&drain);
-    scheduler.add_clocked(&pe.input());
+    scheduler.add_clocked(&pe.input_fifo());
     scheduler.add_clocked(&pe.output());
   }
 
@@ -62,13 +107,15 @@ struct PeHarness {
     scheduler.run_until([&] { return pe.quiescent(); }, budget);
     // A few extra cycles so staged output tokens drain.
     for (int i = 0; i < 4; ++i) scheduler.run_cycle();
+    for (std::size_t i = 0; i < fc.size(); ++i) sink.forces[i] = fc[i].to_vec3f();
   }
 
   md::ForceField ff;
   md::Datapath model;
   std::vector<CellParticle> home;
+  std::vector<fixed::ForceAccum> fc;
   CaptureSink sink;
-  ProcessingElement pe;
+  SinglePe pe;
   OutputDrain drain;
   sim::Scheduler scheduler;
 };

@@ -18,24 +18,22 @@ struct Tok {
   int multicast = 1;    // deliveries before dropping
 };
 
-class TestStation : public Station<Tok> {
+class TestStation {
  public:
   TestStation(int id, std::size_t fifo_depth = 16)
       : id_(id), inject(fifo_depth), delivered() {}
 
-  Action classify(const Tok& t) const override {
+  Action classify(const Tok& t) const {
     if (t.dest != id_) return Action::kPass;
     return t.multicast <= 1 ? Action::kDeliverAndDrop : Action::kDeliver;
   }
 
-  bool try_deliver(Tok& t) override {
+  bool try_deliver(Tok& t) {
     if (blocked) return false;
     delivered.push_back(t.value);
     t.multicast--;
     return true;
   }
-
-  sim::Fifo<Tok>* inject_source() override { return &inject; }
 
   int id_;
   sim::Fifo<Tok> inject;
@@ -43,20 +41,44 @@ class TestStation : public Station<Tok> {
   bool blocked = false;
 };
 
+// The ring's station set over per-station test objects: slot i asks
+// station i.
+template <class S>
+struct StationSet {
+  std::vector<S*> stations;
+  Action classify(std::size_t i, const Tok& t) const {
+    return stations[i]->classify(t);
+  }
+  bool try_deliver(std::size_t i, Tok& t) { return stations[i]->try_deliver(t); }
+};
+
+/// The set over `stations` and their injection FIFOs, in station order.
+template <class S>
+std::pair<StationSet<S>, std::vector<sim::Fifo<Tok>*>> station_set(
+    const std::vector<std::unique_ptr<S>>& stations) {
+  StationSet<S> set;
+  std::vector<sim::Fifo<Tok>*> sources;
+  for (const auto& s : stations) {
+    set.stations.push_back(s.get());
+    sources.push_back(&s->inject);
+  }
+  return {std::move(set), std::move(sources)};
+}
+
 struct RingHarness {
   explicit RingHarness(int n) {
     for (int i = 0; i < n; ++i) stations.push_back(std::make_unique<TestStation>(i));
-    std::vector<Station<Tok>*> ptrs;
-    for (auto& s : stations) ptrs.push_back(s.get());
-    ring = std::make_unique<Ring<Tok>>("test", ptrs);
+    auto [set, sources] = station_set(stations);
+    ring = std::make_unique<Ring<Tok, StationSet<TestStation>>>(
+        "test", std::move(set), std::move(sources));
     scheduler.add(ring.get());
-    for (auto& s : stations) scheduler.add_clocked(&s->inject);
+    scheduler.add_clocked(ring.get());
   }
   void run(int cycles) {
     for (int i = 0; i < cycles; ++i) scheduler.run_cycle();
   }
   std::vector<std::unique_ptr<TestStation>> stations;
-  std::unique_ptr<Ring<Tok>> ring;
+  std::unique_ptr<Ring<Tok, StationSet<TestStation>>> ring;
   sim::Scheduler scheduler;
 };
 
@@ -169,18 +191,26 @@ TEST(Ring, UtilizationTracksOccupancy) {
 // Reference model: the movement rule as a can-move relaxation iterated to a
 // fixpoint over a scratch copy of the slots. Phases 1 and 3 are the Ring's;
 // only phase 2 differs in method, never in outcome.
-template <class T>
-class RelaxationRing : public sim::Component {
+template <class T, class Stations>
+class RelaxationRing : public sim::Component, public sim::Clocked {
  public:
-  using Slot = typename Ring<T>::Slot;
+  using Slot = typename Ring<T, Stations>::Slot;
 
-  RelaxationRing(std::string name, std::vector<Station<T>*> stations)
+  RelaxationRing(std::string name, Stations stations,
+                 std::vector<sim::Fifo<T>*> sources)
       : Component(std::move(name)),
         stations_(std::move(stations)),
-        slots_(stations_.size()) {}
+        sources_(std::move(sources)),
+        slots_(sources_.size()) {}
 
   const std::optional<Slot>& slot(std::size_t i) const { return slots_[i]; }
   const sim::UtilCounter& util() const { return util_; }
+
+  void commit() override {
+    for (sim::Fifo<T>* src : sources_) {
+      if (src != nullptr) src->commit();
+    }
+  }
 
   void tick(sim::Cycle) override {
     const std::size_t n = slots_.size();
@@ -194,20 +224,20 @@ class RelaxationRing : public sim::Component {
         wants_move[i] = true;
         continue;
       }
-      switch (stations_[i]->classify(slot.token)) {
-        case Station<T>::Action::kPass:
+      switch (stations_.classify(i, slot.token)) {
+        case Action::kPass:
           wants_move[i] = true;
           break;
-        case Station<T>::Action::kDeliver:
-          if (stations_[i]->try_deliver(slot.token)) {
+        case Action::kDeliver:
+          if (stations_.try_deliver(i, slot.token)) {
             slot.delivered_here = true;
             wants_move[i] = true;
           }
           break;
-        case Station<T>::Action::kDeliverAndDrop:
-          if (stations_[i]->try_deliver(slot.token)) slots_[i].reset();
+        case Action::kDeliverAndDrop:
+          if (stations_.try_deliver(i, slot.token)) slots_[i].reset();
           break;
-        case Station<T>::Action::kDrop:
+        case Action::kDrop:
           slots_[i].reset();
           break;
       }
@@ -241,13 +271,14 @@ class RelaxationRing : public sim::Component {
 
     for (std::size_t i = 0; i < n; ++i) {
       if (slots_[i]) continue;
-      sim::Fifo<T>* src = stations_[i]->inject_source();
+      sim::Fifo<T>* src = sources_[i];
       if (src != nullptr && !src->empty()) slots_[i] = Slot{src->pop()};
     }
   }
 
  private:
-  std::vector<Station<T>*> stations_;
+  Stations stations_;
+  std::vector<sim::Fifo<T>*> sources_;
   std::vector<std::optional<Slot>> slots_;
   sim::UtilCounter util_;
 };
@@ -257,26 +288,24 @@ using DeliveryLog = std::vector<std::pair<int, int>>;  // (station, value)
 // A station that refuses deliveries with a fixed probability from its own
 // seeded stream, or always while `blocked`, and logs every acceptance in
 // ring-wide order.
-class RandomStation : public Station<Tok> {
+class RandomStation {
  public:
   RandomStation(int id, std::uint64_t seed, int refuse_percent, DeliveryLog* log)
       : id_(id), rng_(seed), refuse_percent_(refuse_percent), log_(log),
         inject(8) {}
 
-  Action classify(const Tok& t) const override {
+  Action classify(const Tok& t) const {
     if (t.dest != id_) return Action::kPass;
     return t.multicast <= 1 ? Action::kDeliverAndDrop : Action::kDeliver;
   }
 
-  bool try_deliver(Tok& t) override {
+  bool try_deliver(Tok& t) {
     if (blocked) return false;
     if (static_cast<int>(rng_() % 100) < refuse_percent_) return false;
     log_->emplace_back(id_, t.value);
     t.multicast--;
     return true;
   }
-
-  sim::Fifo<Tok>* inject_source() override { return &inject; }
 
   int id_;
   std::mt19937_64 rng_;
@@ -290,21 +319,23 @@ class RandomStation : public Station<Tok> {
 template <class R>
 struct DiffSide {
   DiffSide(int n, std::uint64_t seed, const std::vector<int>& refuse_percent) {
-    std::vector<Station<Tok>*> ptrs;
     for (int i = 0; i < n; ++i) {
       stations.push_back(std::make_unique<RandomStation>(
           i, seed * 1000 + static_cast<std::uint64_t>(i), refuse_percent[i], &log));
-      ptrs.push_back(stations.back().get());
     }
-    ring = std::make_unique<R>("diff", ptrs);
+    auto [set, sources] = station_set(stations);
+    ring = std::make_unique<R>("diff", std::move(set), std::move(sources));
     scheduler.add(ring.get());
-    for (auto& s : stations) scheduler.add_clocked(&s->inject);
+    scheduler.add_clocked(ring.get());
   }
   DeliveryLog log;
   std::vector<std::unique_ptr<RandomStation>> stations;
   std::unique_ptr<R> ring;
   sim::Scheduler scheduler;
 };
+
+using RandomStations = StationSet<RandomStation>;
+using FastRing = Ring<Tok, RandomStations>;
 
 // Drives the Ring and the relaxation model with identical token streams,
 // refusals and station blocking, and compares them after every cycle.
@@ -316,7 +347,7 @@ class RingDifferential {
 
   int n() const { return n_; }
   std::mt19937_64& rng() { return rng_; }
-  const Ring<Tok>& ring() const { return *fast_.ring; }
+  const FastRing& ring() const { return *fast_.ring; }
 
   /// Queues a token at station `src` on both sides; true when both accepted.
   bool inject(int src, const Tok& t) {
@@ -389,12 +420,12 @@ class RingDifferential {
   int n_;
   std::mt19937_64 rng_;
   std::vector<int> refuse_;
-  DiffSide<Ring<Tok>> fast_;
-  DiffSide<RelaxationRing<Tok>> ref_;
+  DiffSide<FastRing> fast_;
+  DiffSide<RelaxationRing<Tok, RandomStations>> ref_;
 };
 
 // Longest run of occupied slots ending at a stalled token.
-std::size_t longest_stall_chain(const Ring<Tok>& ring) {
+std::size_t longest_stall_chain(const FastRing& ring) {
   const std::size_t n = ring.num_stations();
   std::size_t best = 0;
   for (std::size_t s = 0; s < n; ++s) {

@@ -334,28 +334,38 @@ struct FuzzTok {
   int multicast = 1;
 };
 
-class FuzzStation : public ring::Station<FuzzTok> {
+class FuzzStation {
  public:
   FuzzStation(int id, util::Xoshiro256* rng) : id_(id), rng_(rng), inject(64) {}
 
-  Action classify(const FuzzTok& t) const override {
+  ring::Action classify(const FuzzTok& t) const {
+    using ring::Action;
     if (t.dest != id_) return Action::kPass;
     return t.multicast <= 1 ? Action::kDeliverAndDrop : Action::kDeliver;
   }
 
-  bool try_deliver(FuzzTok& t) override {
+  bool try_deliver(FuzzTok& t) {
     if (rng_->below(4) == 0) return false;  // 25% transient refusal
     ++delivered[t.id];
     t.multicast--;
     return true;
   }
 
-  sim::Fifo<FuzzTok>* inject_source() override { return &inject; }
-
   int id_;
   util::Xoshiro256* rng_;
   sim::Fifo<FuzzTok> inject;
   std::map<int, int> delivered;
+};
+
+/// The ring's station set: slot i asks station i.
+struct FuzzStations {
+  std::vector<FuzzStation*> stations;
+  ring::Action classify(std::size_t i, const FuzzTok& t) const {
+    return stations[i]->classify(t);
+  }
+  bool try_deliver(std::size_t i, FuzzTok& t) {
+    return stations[i]->try_deliver(t);
+  }
 };
 
 class RingFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -364,15 +374,17 @@ TEST_P(RingFuzz, NoTokenLostOrDuplicated) {
   util::Xoshiro256 rng(GetParam());
   const int n = 3 + static_cast<int>(rng.below(8));
   std::vector<std::unique_ptr<FuzzStation>> stations;
-  std::vector<ring::Station<FuzzTok>*> ptrs;
+  FuzzStations set;
+  std::vector<sim::Fifo<FuzzTok>*> sources;
   for (int i = 0; i < n; ++i) {
     stations.push_back(std::make_unique<FuzzStation>(i, &rng));
-    ptrs.push_back(stations.back().get());
+    set.stations.push_back(stations.back().get());
+    sources.push_back(&stations.back()->inject);
   }
-  ring::Ring<FuzzTok> r("fuzz", ptrs);
+  ring::Ring<FuzzTok, FuzzStations> r("fuzz", set, sources);
   sim::Scheduler scheduler;
   scheduler.add(&r);
-  for (auto& s : stations) scheduler.add_clocked(&s->inject);
+  scheduler.add_clocked(&r);
 
   std::map<int, int> expected;  // token id -> expected delivery count
   int next_id = 0;
