@@ -33,6 +33,8 @@ CellArray::CellArray(std::string name, const CbbConfig& config,
       mu_inject_(lcells.size(), sim::Fifo<ring::MigrateToken>(config.fifo_depth)),
       mu_arrivals_(lcells.size(),
                    sim::Queue<ring::MigrateToken>(config.fifo_depth)),
+      lane_busy_(lcells.size() * static_cast<std::size_t>(config.spes)),
+      injecting_(lcells.size()),
       pes_(config.pe, datapath,
            static_cast<int>(lcells.size()) * config.spes * config.pes_per_spe,
            config.pes_per_spe) {
@@ -146,6 +148,7 @@ bool CellArray::deliver(int c, int spe, ring::PosToken& t) {
   ref.src_lcid = t.src_lcid;
   ref.slot = t.slot;
   arrivals.push(pes_.alloc_ref(static_cast<int>(l), ref));
+  lane_busy_.set(l);
   t.deliveries_remaining--;
   return true;
 }
@@ -161,7 +164,9 @@ bool CellArray::deliver(int c, int, ring::ForceToken& t) {
 }
 
 bool CellArray::deliver(int c, int, ring::MigrateToken& t) {
-  return mu_arrivals_[static_cast<std::size_t>(c)].push(t);
+  if (!mu_arrivals_[static_cast<std::size_t>(c)].push(t)) return false;
+  ++mu_arrivals_pending_;
+  return true;
 }
 
 // ---------------------------------------------------------------- phases
@@ -181,6 +186,7 @@ void CellArray::begin_force_phase(int c) {
   }
   forces_[c].assign(particles.size(), fixed::ForceAccum{});
   cells_[c].inject_cursor = 0;
+  if (!particles.empty()) injecting_.set(static_cast<std::size_t>(c));
   // Intra-cell pairs: every home particle becomes a home reference exactly
   // once, spread round-robin over the SPE dispatch queues.
   for (std::size_t i = 0; i < particles.size(); ++i) {
@@ -192,6 +198,7 @@ void CellArray::begin_force_phase(int c) {
     const std::size_t l =
         lane(c, static_cast<int>(i % static_cast<std::size_t>(config_.spes)));
     dispatch_[l].push(pes_.alloc_ref(static_cast<int>(l), ref));
+    lane_busy_.set(l);
   }
   for (int p = first_pe(c); p < first_pe(c + 1); ++p) pes_.reset_phase(p);
   cells_[c].phase = Phase::kForce;
@@ -229,128 +236,145 @@ bool CellArray::mu_done(int c) const {
 // ---------------------------------------------------------------- per cycle
 
 void CellArray::tick(sim::Cycle now) {
-  for (int c = 0; c < num_cells(); ++c) {
-    CellState& cell = cells_[c];
+  ++ticks_;
+  if (mu_arrivals_pending_ != 0) {
     // Migration arrivals may land in any phase tail; they are already
     // updated by their previous home cell's MU, so they are appended
     // verbatim.
-    sim::Queue<ring::MigrateToken>& arrivals = mu_arrivals_[c];
-    while (!arrivals.empty()) {
-      const ring::MigrateToken t = arrivals.pop();
-      particles_[c].push_back(
-          pe::CellParticle{t.offset, t.vel, t.elem, t.particle_id});
+    for (int c = 0; c < num_cells(); ++c) {
+      sim::Queue<ring::MigrateToken>& arrivals = mu_arrivals_[c];
+      if (arrivals.empty()) continue;
+      while (!arrivals.empty()) {
+        const ring::MigrateToken t = arrivals.pop();
+        particles_[c].push_back(
+            pe::CellParticle{t.offset, t.vel, t.elem, t.particle_id});
+      }
+      if (cells_[c].phase == Phase::kForce) {
+        injecting_.set(static_cast<std::size_t>(c));
+      }
     }
-    switch (cell.phase) {
-      case Phase::kIdle:
-        cell.mu_util.record(0, 1, false);
-        break;
-      case Phase::kForce:
-        tick_force_phase(c);
-        cell.mu_util.record(0, 1, false);
-        break;
-      case Phase::kMotionUpdate:
-        tick_motion_update(c);
-        break;
-    }
-    pes_.tick(first_pe(c), first_pe(c + 1), now);
+    mu_arrivals_pending_ = 0;
   }
+  // The CBB stages of every cell, then every PE. A cell's stages touch
+  // only its own state, its lanes and its own PEs' FIFOs, and they still
+  // run before its PEs', so this is the order the per-object datapath
+  // ticked in as far as any state can tell. Position injection keeps CID
+  // order, which is the order remote positions reach the P2R chain.
+  for (int c = 0; c < num_cells(); ++c) {
+    if (cells_[c].phase == Phase::kMotionUpdate) tick_motion_update(c);
+  }
+  injecting_.for_each_set(0, cells_.size(), [&](std::size_t c) {
+    inject_position(static_cast<int>(c));
+  });
+  lane_busy_.for_each_set(0, lane_busy_.size(), [&](std::size_t l) {
+    tick_lane(l);
+  });
+  pes_.tick(now);
+  // A force retired this cycle is arbitrated from the next.
+  lane_busy_.take(pes_.output_pools());
 }
 
-void CellArray::tick_force_phase(int c) {
+void CellArray::inject_position(int c) {
   CellState& cell = cells_[c];
+  if (cell.phase != Phase::kForce) return;
   const std::vector<pe::CellParticle>& particles = particles_[c];
+  if (cell.inject_cursor >= particles.size()) {
+    injecting_.reset(static_cast<std::size_t>(c));
+    return;
+  }
   // 1. Home position broadcast: one particle per SPE ring per cycle, taken
   //    in slot order (the PC read port). The same read feeds the P2R chain
   //    when the cell borders another FPGA.
-  if (cell.inject_cursor < particles.size()) {
-    const int spe = static_cast<int>(cell.inject_cursor % config_.spes);
-    const pe::CellParticle& p = particles[cell.inject_cursor];
-    const bool needs_local_ring = cell.local_pos_deliveries > 0;
-    sim::Fifo<ring::PosToken>& pr = pr_inject_[lane(c, spe)];
-    if (!needs_local_ring || pr.can_push()) {
-      const auto slot = static_cast<std::uint16_t>(cell.inject_cursor);
-      if (needs_local_ring) {
-        ring::PosToken token;
-        token.src_lcid = cell.lcell;
-        token.offset = p.pos;
-        token.elem = p.elem;
-        token.slot = slot;
-        token.deliveries_remaining =
-            static_cast<std::uint8_t>(cell.local_pos_deliveries);
-        pr.push(token);
-      }
-      if (cell.has_remote_dests && cell.offer_remote) {
-        cell.offer_remote(RemotePosition{cell.gcell, p.pos, p.elem, slot});
-      }
-      ++cell.inject_cursor;
-    }
+  const int spe = static_cast<int>(cell.inject_cursor % config_.spes);
+  const pe::CellParticle& p = particles[cell.inject_cursor];
+  const bool needs_local_ring = cell.local_pos_deliveries > 0;
+  sim::Fifo<ring::PosToken>& pr = pr_inject_[lane(c, spe)];
+  if (needs_local_ring && !pr.can_push()) return;
+  const auto slot = static_cast<std::uint16_t>(cell.inject_cursor);
+  if (needs_local_ring) {
+    ring::PosToken token;
+    token.src_lcid = cell.lcell;
+    token.offset = p.pos;
+    token.elem = p.elem;
+    token.slot = slot;
+    token.deliveries_remaining =
+        static_cast<std::uint8_t>(cell.local_pos_deliveries);
+    pr.push(token);
   }
+  if (cell.has_remote_dests && cell.offer_remote) {
+    cell.offer_remote(RemotePosition{cell.gcell, p.pos, p.elem, slot});
+  }
+  if (++cell.inject_cursor >= particles.size()) {
+    injecting_.reset(static_cast<std::size_t>(c));
+  }
+}
 
+void CellArray::tick_lane(std::size_t l) {
+  const int c = static_cast<int>(l) / config_.spes;
+  if (cells_[c].phase != Phase::kForce) return;
   const int per_spe = config_.pes_per_spe;
-  for (int s = 0; s < config_.spes; ++s) {
-    const std::size_t l = lane(c, s);
-    const int pe0 = first_pe(c) + s * per_spe;
-    // 2. Arrival intake: PRN deliveries queue up for the dispatcher.
-    sim::Queue<pe::PeArray::RefSlot>& dispatch = dispatch_[l];
-    if (!arrivals_[l].empty() && dispatch.size() < config_.arrival_buffer_depth) {
-      dispatch.push(arrivals_[l].pop());
-    }
-    // 3. Dispatch: one reference per cycle to the least-loaded PE (Fig. 6's
-    //    P-Dispatcher).
-    if (!dispatch.empty()) {
-      int best = -1;
-      std::size_t best_space = 0;
-      for (int p = pe0; p < pe0 + per_spe; ++p) {
-        const sim::Fifo<pe::PeArray::RefSlot>& in = pes_.input(p);
-        const std::size_t space = in.capacity() - in.total_occupancy();
-        if (space > best_space) {
-          best_space = space;
-          best = p;
-        }
+  const int pe0 = static_cast<int>(l) * per_spe;
+  // 2. Arrival intake: PRN deliveries queue up for the dispatcher.
+  sim::Queue<pe::PeArray::RefSlot>& arrivals = arrivals_[l];
+  sim::Queue<pe::PeArray::RefSlot>& dispatch = dispatch_[l];
+  if (!arrivals.empty() && dispatch.size() < config_.arrival_buffer_depth) {
+    dispatch.push(arrivals.pop());
+  }
+  // 3. Dispatch: one reference per cycle to the least-loaded PE (Fig. 6's
+  //    P-Dispatcher).
+  if (!dispatch.empty()) {
+    int best = -1;
+    std::size_t best_space = 0;
+    for (int p = pe0; p < pe0 + per_spe; ++p) {
+      const sim::Fifo<pe::PeArray::RefSlot>& in = pes_.input(p);
+      const std::size_t space = in.capacity() - in.total_occupancy();
+      if (space > best_space) {
+        best_space = space;
+        best = p;
       }
-      if (best >= 0) pes_.input(best).push(dispatch.pop());
     }
-    // 4. Force-output arbitration: one retired neighbour force per cycle per
-    //    SPE onto its force ring.
-    sim::Fifo<ring::ForceToken>& fr = fr_inject_[l];
-    if (fr.can_push()) {
-      for (int p = pe0; p < pe0 + per_spe; ++p) {
-        sim::Fifo<ring::ForceToken>& out = pes_.output(p);
-        if (!out.empty()) {
-          fr.push(out.pop());
-          break;
-        }
+    if (best >= 0) pes_.push_input(best, dispatch.pop());
+  }
+  // 4. Force-output arbitration: one retired neighbour force per cycle per
+  //    SPE onto its force ring.
+  sim::Fifo<ring::ForceToken>& fr = fr_inject_[l];
+  if (fr.can_push()) {
+    for (int p = pe0; p < pe0 + per_spe; ++p) {
+      sim::Fifo<ring::ForceToken>& out = pes_.output(p);
+      if (!out.empty()) {
+        fr.push(out.pop());
+        break;
       }
     }
   }
+  bool drained = arrivals.empty() && dispatch.empty();
+  for (int p = pe0; p < pe0 + per_spe; ++p) {
+    drained = drained && pes_.output(p).total_occupancy() == 0;
+  }
+  if (drained) lane_busy_.reset(l);
 }
 
 void CellArray::tick_motion_update(int c) {
   CellState& cell = cells_[c];
-  if (cell.mu_cursor >= cell.mu_limit) {
-    cell.mu_util.record(0, 1, false);
-    return;
-  }
+  if (cell.mu_cursor >= cell.mu_limit) return;
   pe::CellParticle& p = particles_[c][cell.mu_cursor];
   // Leapfrog kick with the adder-tree-combined force, then the quantized
   // drift (§4.2). The particle itself changes only once the update
   // commits, so a migration stalled on the MU ring retries next cycle.
   const md::Motion m = datapath_.motion_update(
       p.pos, p.vel, forces_[c][cell.mu_cursor].to_vec3f(), p.elem);
+  ++cell.mu_active;
   if (m.shift == geom::IVec3{0, 0, 0}) {
     p.vel = m.vel;
     p.pos = m.pos;
     ++cell.mu_cursor;
-    cell.mu_util.record(1, 1, true);
+    ++cell.mu_work;
     return;
   }
   // Migration: LCID arithmetic wraps in the global frame, so the token's
   // destination is valid whether the target cell is local or remote.
   sim::Fifo<ring::MigrateToken>& mu = mu_inject_[static_cast<std::size_t>(c)];
-  if (!mu.can_push()) {
-    cell.mu_util.record(0, 1, true);  // stalled on the MU ring
-    return;
-  }
+  if (!mu.can_push()) return;  // stalled on the MU ring
   ring::MigrateToken token;
   token.dest_lcid = map_.grid().wrap(cell.lcell + m.shift);
   token.offset = m.pos;
@@ -360,7 +384,7 @@ void CellArray::tick_motion_update(int c) {
   mu.push(token);
   migrated_[c][cell.mu_cursor] = 1;
   ++cell.mu_cursor;
-  cell.mu_util.record(1, 1, true);
+  ++cell.mu_work;
 }
 
 bool CellArray::cell_busy(int c) const {
@@ -389,21 +413,14 @@ sim::Cycle CellArray::next_wake(sim::Cycle now) const {
   for (int c = 0; c < num_cells(); ++c) {
     if (cell_busy(c)) return now;
   }
-  sim::Cycle wake = sim::kNeverCycle;
-  for (int p = 0; p < pes_.size(); ++p) {
-    const sim::Cycle w = pes_.next_wake(p, now);
-    if (w <= now) return now;
-    wake = std::min(wake, w);
-  }
-  return wake;
+  return pes_.next_wake(now);
 }
 
 void CellArray::skip_idle(sim::Cycle from, sim::Cycle to) {
-  // Every phase's idle cell tick records mu_util(0, 1, false) and nothing
-  // else — the kIdle case, a drained force phase, and a finished MU cursor
-  // all hit the same bookkeeping.
-  for (CellState& cell : cells_) cell.mu_util.record(0, to - from, false);
-  for (int p = 0; p < pes_.size(); ++p) pes_.skip_idle(p, from, to);
+  // An idle cell tick adds one cycle of MU capacity and nothing else — the
+  // kIdle case, a drained force phase, and a finished MU cursor alike.
+  ticks_ += to - from;
+  pes_.skip_idle(from, to);
 }
 
 std::vector<geom::Vec3f> CellArray::forces(int c) const {
@@ -433,7 +450,7 @@ sim::UtilCounter CellArray::filter_util(int c) const {
 
 sim::UtilCounter CellArray::mu_util() const {
   sim::UtilCounter out;
-  for (const CellState& cell : cells_) out.merge(cell.mu_util);
+  for (int c = 0; c < num_cells(); ++c) out.merge(mu_util(c));
   return out;
 }
 
@@ -467,7 +484,7 @@ void Cbb::begin_motion_update() const { cells_->begin_motion_update(cell_); }
 bool Cbb::mu_done() const { return cells_->mu_done(cell_); }
 sim::UtilCounter Cbb::pe_util() const { return cells_->pe_util(cell_); }
 sim::UtilCounter Cbb::filter_util() const { return cells_->filter_util(cell_); }
-const sim::UtilCounter& Cbb::mu_util() const { return cells_->mu_util(cell_); }
+sim::UtilCounter Cbb::mu_util() const { return cells_->mu_util(cell_); }
 std::uint64_t Cbb::pairs_issued() const { return cells_->pairs_issued(cell_); }
 CellStation<ring::PosToken>& Cbb::pos_station(int spe) const {
   return cells_->pos_station(cell_, spe);

@@ -110,7 +110,7 @@ class Cbb {
   // ---- statistics ----
   sim::UtilCounter pe_util() const;
   sim::UtilCounter filter_util() const;
-  const sim::UtilCounter& mu_util() const;
+  sim::UtilCounter mu_util() const;
   std::uint64_t pairs_issued() const;
   int num_pes() const;
   int num_fcs() const;
@@ -213,7 +213,10 @@ class CellArray : public sim::Component {
   sim::UtilCounter pe_util(int c = -1) const;
   sim::UtilCounter filter_util(int c = -1) const;
   sim::UtilCounter mu_util() const;
-  const sim::UtilCounter& mu_util(int c) const { return cells_[c].mu_util; }
+  /// Work is particles updated; every cell's capacity is one per cycle.
+  sim::UtilCounter mu_util(int c) const {
+    return {cells_[c].mu_work, ticks_, cells_[c].mu_active};
+  }
   std::uint64_t pairs_issued(int c = -1) const;
 
   int pes_per_cell() const { return config_.spes * config_.pes_per_spe; }
@@ -238,7 +241,8 @@ class CellArray : public sim::Component {
     std::size_t inject_cursor = 0;  ///< next home particle to broadcast
     std::size_t mu_cursor = 0;
     std::size_t mu_limit = 0;
-    sim::UtilCounter mu_util;
+    std::uint64_t mu_work = 0;    ///< particles updated
+    std::uint64_t mu_active = 0;  ///< cycles the MU worked or stalled
     std::function<void(const RemotePosition&)> offer_remote;
   };
 
@@ -255,7 +259,8 @@ class CellArray : public sim::Component {
                            (hx * halo_dims_.y + hy) * halo_dims_.z + hz)];
   }
 
-  void tick_force_phase(int c);
+  void inject_position(int c);
+  void tick_lane(std::size_t l);
   void tick_motion_update(int c);
   bool cell_busy(int c) const;
   int first_pe(int c) const { return c * pes_per_cell(); }
@@ -283,6 +288,13 @@ class CellArray : public sim::Component {
   // Per cell.
   std::vector<sim::Fifo<ring::MigrateToken>> mu_inject_;
   std::vector<sim::Queue<ring::MigrateToken>> mu_arrivals_;
+  std::size_t mu_arrivals_pending_ = 0;  ///< sum over mu_arrivals_
+  /// Lanes whose CBB stages (arrival intake, dispatch, force-output
+  /// arbitration) may have work: set when a reference or a retired force
+  /// enters the lane, cleared when the stages find all three empty.
+  sim::Bitset lane_busy_;
+  sim::Bitset injecting_;  ///< cells with home positions left to broadcast
+  std::uint64_t ticks_ = 0;  ///< cycles ticked or skipped: MU capacity
 
   /// PE p of cell c, SPE s is c * pes_per_cell() + s * pes_per_spe + k;
   /// each SPE's PEs share the reference pool lane(c, s).

@@ -125,7 +125,12 @@ class PeArray {
   RefSlot alloc_ref(int pool, const Reference& ref);
 
   /// References in (pool slots of the PE's pool): the CBB dispatcher
-  /// pushes here.
+  /// pushes here, through push_input.
+  bool push_input(int p, RefSlot ref) {
+    if (!inputs_[p].push(ref)) return false;
+    active_.set(static_cast<std::size_t>(p));
+    return true;
+  }
   sim::Fifo<RefSlot>& input(int p) { return inputs_[p]; }
   const sim::Fifo<RefSlot>& input(int p) const { return inputs_[p]; }
   /// Retired neighbour forces out: the CBB arbiter pops from here.
@@ -135,14 +140,19 @@ class PeArray {
   /// The input and output FIFOs of every PE, for scheduler registration.
   void append_clocked(std::vector<sim::Clocked*>& out);
 
-  /// One cycle of PEs [first, last).
-  void tick(int first, int last, sim::Cycle now);
+  /// One cycle of every PE. Only the PEs with work (the active set) are
+  /// visited; an idle PE's tick only adds capacity, which all PEs share.
+  void tick(sim::Cycle now);
 
-  /// Elision oracle: busy whenever a pass is streaming or anything is
-  /// queued; an otherwise-empty PE with pairs in flight sleeps until the
+  /// Elision oracle over every PE: busy whenever a pass is streaming or
+  /// anything is queued; a PE with only pairs in flight sleeps until its
   /// pipeline head completes (the only self-scheduled future event here).
-  sim::Cycle next_wake(int p, sim::Cycle now) const;
-  void skip_idle(int p, sim::Cycle from, sim::Cycle to);
+  sim::Cycle next_wake(sim::Cycle now) const;
+  void skip_idle(sim::Cycle from, sim::Cycle to);
+
+  /// Pools (SPEs) whose PEs pushed a retired force into their output FIFO
+  /// since the last take; the CBB arbiter's work list.
+  sim::Bitset& output_pools() { return output_pools_; }
 
   /// No loaded references, empty pipeline/buffers, nothing retiring.
   bool quiescent(int p) const;
@@ -150,7 +160,10 @@ class PeArray {
   /// Begins a new force phase: home stream may have changed size.
   void reset_phase(int p);
 
-  const sim::UtilCounter& pe_util(int p) const { return lanes_[p].pe_util; }
+  /// Work is pairs issued; every PE's capacity is one pair per cycle.
+  sim::UtilCounter pe_util(int p) const {
+    return {lanes_[p].pairs_issued, ticks_, lanes_[p].active_cycles};
+  }
   const sim::UtilCounter& filter_util(int p) const {
     return lanes_[p].filter_util;
   }
@@ -196,7 +209,7 @@ class PeArray {
     std::uint32_t pair_head = 0, pair_size = 0;
     std::uint32_t pipe_head = 0, pipe_size = 0;
     std::uint32_t retirable = 0;  ///< retiring refs with no pairs pending
-    sim::UtilCounter pe_util;
+    std::uint64_t active_cycles = 0;  ///< ticks ending with work in flight
     sim::UtilCounter filter_util;
     std::uint64_t pairs_issued = 0;
     std::uint64_t refs_processed = 0;
@@ -204,6 +217,7 @@ class PeArray {
   };
 
   void tick_one(int p, sim::Cycle now);
+  bool idle(int p) const;
   void drain_pipeline(int p, Lane& lane, sim::Cycle now);
   void issue_pair(int p, Lane& lane, sim::Cycle now);
   void stream_and_filter(int p, Lane& lane);
@@ -221,6 +235,9 @@ class PeArray {
   int pes_per_pool_;
 
   std::vector<Lane> lanes_;
+  sim::Bitset active_;        ///< PEs that may have work
+  sim::Bitset output_pools_;  ///< see output_pools()
+  std::uint64_t ticks_ = 0;   ///< cycles ticked or skipped: PE capacity
   std::vector<sim::Fifo<RefSlot>> inputs_;
   std::vector<sim::Fifo<ring::ForceToken>> outputs_;
 

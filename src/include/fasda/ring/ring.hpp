@@ -33,7 +33,6 @@
 // and independent of global component ordering.
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -201,43 +200,6 @@ class Ring : public sim::Component, public sim::Clocked {
   }
 
  private:
-  /// Fixed-size bitset over the hop slots.
-  class Bits {
-   public:
-    explicit Bits(std::size_t n) : words_((n + 63) / 64, 0) {}
-    bool test(std::size_t i) const { return (words_[i / 64] >> (i % 64)) & 1u; }
-    void set(std::size_t i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
-    void reset(std::size_t i) {
-      words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
-    }
-    void clear() { std::fill(words_.begin(), words_.end(), 0); }
-    bool any() const {
-      for (const std::uint64_t w : words_) {
-        if (w != 0) return true;
-      }
-      return false;
-    }
-    /// Calls f(i) for each bit set in [lo, hi) when the call starts, in
-    /// ascending order; f may clear bits.
-    template <class F>
-    void for_each_set(std::size_t lo, std::size_t hi, F&& f) const {
-      if (lo >= hi) return;
-      for (std::size_t w = lo / 64; w <= (hi - 1) / 64; ++w) {
-        std::uint64_t bits = words_[w];
-        if (w == lo / 64) bits &= ~std::uint64_t{0} << (lo % 64);
-        if (w == (hi - 1) / 64 && hi % 64 != 0) {
-          bits &= (std::uint64_t{1} << (hi % 64)) - 1;
-        }
-        for (; bits != 0; bits &= bits - 1) {
-          f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-        }
-      }
-    }
-
-   private:
-    std::vector<std::uint64_t> words_;
-  };
-
   // Station i's hop slot is tokens_[phys(i)]: a rotation of every token
   // only moves base_.
   std::size_t phys(std::size_t i) const {
@@ -275,10 +237,10 @@ class Ring : public sim::Component, public sim::Clocked {
   std::vector<std::pair<const sim::Clocked*, std::size_t>> station_of_;
   std::vector<sim::Clocked*> staged_;  ///< sources staged since the last commit
   std::vector<T> tokens_;  ///< by physical slot; valid where occupied_ is set
-  Bits occupied_;
-  Bits delivered_;  ///< the token delivered a copy at its current station
-  Bits stalled_;    ///< the token's delivery was refused this tick
-  Bits waiting_;    ///< by station: its source holds committed tokens
+  sim::Bitset occupied_;
+  sim::Bitset delivered_;  ///< the token delivered a copy at its current station
+  sim::Bitset stalled_;    ///< the token's delivery was refused this tick
+  sim::Bitset waiting_;    ///< by station: its source holds committed tokens
   std::size_t base_ = 0;
   std::size_t in_flight_ = 0;  ///< set bits of occupied_
   sim::UtilCounter util_;

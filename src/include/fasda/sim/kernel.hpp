@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -98,6 +99,57 @@ class Component {
  private:
   std::string name_;
   Cycle sched_wake_ = 0;
+};
+
+/// Fixed-size bitset with ordered iteration over the set bits: the
+/// activity masks of the flat datapath state (busy PEs, busy cells, occupied
+/// ring slots).
+class Bitset {
+ public:
+  explicit Bitset(std::size_t n = 0) : size_(n), words_((n + 63) / 64, 0) {}
+
+  std::size_t size() const { return size_; }
+  bool test(std::size_t i) const { return (words_[i / 64] >> (i % 64)) & 1u; }
+  void set(std::size_t i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
+  void reset(std::size_t i) {
+    words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  }
+  void clear() { std::fill(words_.begin(), words_.end(), 0); }
+  bool any() const {
+    for (const std::uint64_t w : words_) {
+      if (w != 0) return true;
+    }
+    return false;
+  }
+
+  /// Calls f(i) for each bit set in [lo, hi) when the call starts, in
+  /// ascending order; f may clear bits.
+  template <class F>
+  void for_each_set(std::size_t lo, std::size_t hi, F&& f) const {
+    if (lo >= hi) return;
+    for (std::size_t w = lo / 64; w <= (hi - 1) / 64; ++w) {
+      std::uint64_t bits = words_[w];
+      if (w == lo / 64) bits &= ~std::uint64_t{0} << (lo % 64);
+      if (w == (hi - 1) / 64 && hi % 64 != 0) {
+        bits &= (std::uint64_t{1} << (hi % 64)) - 1;
+      }
+      for (; bits != 0; bits &= bits - 1) {
+        f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
+  /// Sets every bit set in `o` (same size) and clears `o`.
+  void take(Bitset& o) {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      words_[w] |= o.words_[w];
+      o.words_[w] = 0;
+    }
+  }
+
+ private:
+  std::size_t size_;
+  std::vector<std::uint64_t> words_;
 };
 
 /// Single-phase bounded queue: one power-of-two circular buffer that grows

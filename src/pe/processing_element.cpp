@@ -23,6 +23,7 @@ PeArray::PeArray(const PEConfig& config, const md::Datapath& datapath,
           std::max(config.pipeline_latency, 0) + 1)),
       pes_per_pool_(std::max(pes_per_pool, 1)),
       lanes_(static_cast<std::size_t>(count)),
+      active_(static_cast<std::size_t>(count)),
       inputs_(static_cast<std::size_t>(count),
               sim::Fifo<RefSlot>(config.input_queue_depth)),
       outputs_(static_cast<std::size_t>(count),
@@ -36,6 +37,7 @@ PeArray::PeArray(const PEConfig& config, const md::Datapath& datapath,
       free_slots_(pool_.size()),
       retiring_(static_cast<std::size_t>(count)) {
   for (int p = 0; p < count; ++p) lanes_[p].pool = p / pes_per_pool_;
+  output_pools_ = sim::Bitset(pool_.size());
 }
 
 void PeArray::bind(int p, const std::vector<CellParticle>* home,
@@ -74,8 +76,21 @@ void PeArray::accumulate(const Lane& lane, std::uint16_t slot,
   (*lane.fc.slots)[slot].add(f);
 }
 
-void PeArray::tick(int first, int last, sim::Cycle now) {
-  for (int p = first; p < last; ++p) tick_one(p, now);
+void PeArray::tick(sim::Cycle now) {
+  ++ticks_;
+  active_.for_each_set(0, lanes_.size(), [&](std::size_t p) {
+    tick_one(static_cast<int>(p), now);
+    if (idle(static_cast<int>(p))) active_.reset(p);
+  });
+}
+
+bool PeArray::idle(int p) const {
+  // Nothing loaded, buffered, in flight or retiring (a retiring reference
+  // either is retirable or still has pairs in the buffer or pipeline), and
+  // nothing queued.
+  const Lane& lane = lanes_[p];
+  return !lane.pass_active && lane.pair_size == 0 && lane.pipe_size == 0 &&
+         lane.retirable == 0 && inputs_[p].total_occupancy() == 0;
 }
 
 void PeArray::tick_one(int p, sim::Cycle now) {
@@ -84,46 +99,46 @@ void PeArray::tick_one(int p, sim::Cycle now) {
   // consumes state its upstream produced in *earlier* cycles. Each stage is
   // entered only when it has something to act on.
   if (lane.pipe_size != 0) drain_pipeline(p, lane, now);
-  if (lane.pair_size != 0) {
-    issue_pair(p, lane, now);
-  } else {
-    lane.pe_util.record(0, 1, false);
-  }
+  if (lane.pair_size != 0) issue_pair(p, lane, now);
   if (lane.pass_active) stream_and_filter(p, lane);
   if (lane.retirable != 0) retire_references(p, lane);
   if (!lane.pass_active && !inputs_[p].empty()) reload_filters(p, lane);
 
-  const bool active =
-      lane.pass_active || lane.pipe_size != 0 || lane.pair_size != 0;
-  lane.pe_util.record(0, 0, active);  // work/capacity recorded in issue_pair
+  // Time utilization: the PE counts as functioning while a pass streams or
+  // pairs are buffered or in flight.
+  if (lane.pass_active || lane.pipe_size != 0 || lane.pair_size != 0) {
+    ++lane.active_cycles;
+  }
 }
 
-sim::Cycle PeArray::next_wake(int p, sim::Cycle now) const {
-  const Lane& lane = lanes_[p];
-  // A retirable reference means the arbiter acts (or keeps stalling on a
-  // full output, which still re-evaluates every cycle).
-  if (lane.pass_active || lane.pair_size != 0 || !inputs_[p].empty() ||
-      lane.retirable > 0) {
-    return now;
-  }
-  if (lane.pipe_size != 0) {
-    const PipelineEntry& head =
-        pipeline_[static_cast<std::size_t>(p) * pipe_cap_ + lane.pipe_head];
-    return std::max(head.completes_at, now);
-  }
-  return sim::kNeverCycle;
+sim::Cycle PeArray::next_wake(sim::Cycle now) const {
+  sim::Cycle wake = sim::kNeverCycle;
+  active_.for_each_set(0, lanes_.size(), [&](std::size_t p) {
+    const Lane& lane = lanes_[p];
+    // A retirable reference means the arbiter acts (or keeps stalling on a
+    // full output, which still re-evaluates every cycle).
+    if (lane.pass_active || lane.pair_size != 0 || !inputs_[p].empty() ||
+        lane.retirable > 0) {
+      wake = now;
+    } else if (lane.pipe_size != 0) {
+      const PipelineEntry& head = pipeline_[p * pipe_cap_ + lane.pipe_head];
+      wake = std::min(wake, std::max(head.completes_at, now));
+    }
+  });
+  return wake;
 }
 
-void PeArray::skip_idle(int p, sim::Cycle from, sim::Cycle to) {
-  // Replays the bookkeeping `to - from` idle ticks accrue: issue_pair's
-  // empty-buffer record(0, 1, false) each cycle, plus the end-of-tick
-  // active flag — true exactly while in-flight pairs sit in the pipeline,
-  // the one sleepable state where tick still counts the PE as functioning
-  // (we only sleep on a non-empty pipeline waiting for its head's
-  // completes_at, so the flag is constant across the window).
-  Lane& lane = lanes_[p];
-  lane.pe_util.record(0, to - from, false);
-  if (lane.pipe_size != 0) lane.pe_util.active_cycles += to - from;
+void PeArray::skip_idle(sim::Cycle from, sim::Cycle to) {
+  // Replays the bookkeeping `to - from` idle ticks accrue: one cycle of
+  // capacity each, plus the end-of-tick active flag — true exactly while
+  // in-flight pairs sit in the pipeline, the one sleepable state where tick
+  // still counts the PE as functioning (a PE only sleeps on a non-empty
+  // pipeline waiting for its head's completes_at, so the flag is constant
+  // across the window).
+  ticks_ += to - from;
+  active_.for_each_set(0, lanes_.size(), [&](std::size_t p) {
+    if (lanes_[p].pipe_size != 0) lanes_[p].active_cycles += to - from;
+  });
 }
 
 void PeArray::drain_pipeline(int p, Lane& lane, sim::Cycle now) {
@@ -158,7 +173,6 @@ void PeArray::issue_pair(int p, Lane& lane, sim::Cycle now) {
   ++lane.pipe_size;
   if (PairProbe::hook) PairProbe::hook(home.id, r.ref, e.force_on_home);
   ++lane.pairs_issued;
-  lane.pe_util.record(1, 1, false);
 }
 
 void PeArray::stream_and_filter(int p, Lane& lane) {
@@ -175,7 +189,8 @@ void PeArray::stream_and_filter(int p, Lane& lane) {
   // The filter bank's verdicts for this home particle, worked out for a
   // run of up to 64 filters before any is acted on (acceptance is
   // data-dependent, so the mask keeps the compare out of the branch
-  // predictor's way), then the run's accepted pairs in filter order.
+  // predictor's way), then the run's accepted pairs in filter order. Each
+  // accepted pair keeps the r² the filter computed for the force pipeline.
   PairCandidate* buffer = &pairs_[static_cast<std::size_t>(p) * pair_cap_];
   std::vector<RefState>& pool = pool_[lane.pool];
   for (std::uint32_t base = 0; base < lane.loaded; base += 64) {
@@ -236,6 +251,7 @@ void PeArray::retire_references(int p, Lane& lane) {
       const ring::ForceToken token{r.ref.src_lcid, r.acc, r.ref.slot};
       if (RetireProbe::hook) RetireProbe::hook(token);
       out.push(token);
+      output_pools_.set(static_cast<std::size_t>(lane.pool));
     } else {
       ++lane.zero_force_refs;
     }

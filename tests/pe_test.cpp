@@ -37,7 +37,7 @@ class InputPort {
   explicit InputPort(PeArray* array) : array_(array) {}
   bool push(const Reference& ref) {
     if (!array_->input(0).can_push()) return false;
-    return array_->input(0).push(array_->alloc_ref(0, ref));
+    return array_->push_input(0, array_->alloc_ref(0, ref));
   }
   void commit() { array_->input(0).commit(); }
 
@@ -55,19 +55,19 @@ class SinglePe : public sim::Component {
       : Component("pe"), array_(config, model, 1, 1) {
     array_.bind(0, home, ForceCache{fc, {}, 0});
   }
-  void tick(sim::Cycle now) override { array_.tick(0, 1, now); }
+  void tick(sim::Cycle now) override { array_.tick(now); }
   sim::Cycle next_wake(sim::Cycle now) const override {
-    return array_.next_wake(0, now);
+    return array_.next_wake(now);
   }
   void skip_idle(sim::Cycle from, sim::Cycle to) override {
-    array_.skip_idle(0, from, to);
+    array_.skip_idle(from, to);
   }
 
   InputPort input() { return InputPort(&array_); }
   sim::Fifo<PeArray::RefSlot>& input_fifo() { return array_.input(0); }
   sim::Fifo<ring::ForceToken>& output() { return array_.output(0); }
   bool quiescent() const { return array_.quiescent(0); }
-  const sim::UtilCounter& pe_util() const { return array_.pe_util(0); }
+  sim::UtilCounter pe_util() const { return array_.pe_util(0); }
   const sim::UtilCounter& filter_util() const { return array_.filter_util(0); }
   std::uint64_t pairs_issued() const { return array_.pairs_issued(0); }
   std::uint64_t refs_processed() const { return array_.refs_processed(0); }
