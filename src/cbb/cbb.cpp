@@ -219,6 +219,14 @@ bool CellArray::force_quiescent(int c) const {
   return true;
 }
 
+bool CellArray::force_quiescent() const {
+  if (injecting_.any() || lane_busy_.any() || pes_.any_active()) return false;
+  for (int c = 0; c < num_cells(); ++c) {
+    if (!force_quiescent(c)) return false;
+  }
+  return true;
+}
+
 void CellArray::begin_motion_update(int c) {
   CellState& cell = cells_[c];
   cell.phase = Phase::kMotionUpdate;

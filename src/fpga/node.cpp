@@ -603,9 +603,7 @@ bool FpgaNode::local_mu_done() const {
 }
 
 bool FpgaNode::force_datapath_quiescent() const {
-  for (int c = 0; c < cells_->num_cells(); ++c) {
-    if (!cells_->force_quiescent(c)) return false;
-  }
+  if (!cells_->force_quiescent()) return false;
   for (const auto& r : pos_rings_) {
     if (r->occupancy() != 0) return false;
   }

@@ -181,6 +181,8 @@ class CellArray : public sim::Component {
   void begin_force_phase(int c);
   /// All local force-evaluation work complete and every FIFO drained.
   bool force_quiescent(int c) const;
+  /// force_quiescent for every cell; a busy cell, lane or PE answers first.
+  bool force_quiescent() const;
   /// Every home position has been broadcast (and offered to the P2R chain).
   bool positions_injected(int c) const {
     return cells_[c].inject_cursor >= particles_[c].size();

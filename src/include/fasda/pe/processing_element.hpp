@@ -156,6 +156,9 @@ class PeArray {
 
   /// No loaded references, empty pipeline/buffers, nothing retiring.
   bool quiescent(int p) const;
+  /// Some PE may have work (a PE outside the active set is quiescent but
+  /// for its output FIFO).
+  bool any_active() const { return active_.any(); }
 
   /// Begins a new force phase: home stream may have changed size.
   void reset_phase(int p);
