@@ -140,35 +140,8 @@ class Ring : public sim::Component, public sim::Clocked {
     // stalls its token and makes it the anchor of the movement walk.
     stalled_.clear();
     std::size_t anchor = n;
-    const auto visit = [&](std::size_t p) {
-      if (delivered_.test(p)) return;
-      const std::size_t i = station(p);
-      switch (stations_.classify(i, tokens_[p])) {
-        case Action::kPass:
-          break;
-        case Action::kDeliver:
-          if (stations_.try_deliver(i, tokens_[p])) {
-            delivered_.set(p);
-          } else {
-            stalled_.set(p);
-            anchor = i;
-          }
-          break;
-        case Action::kDeliverAndDrop:
-          if (stations_.try_deliver(i, tokens_[p])) {
-            release(p);
-          } else {
-            stalled_.set(p);
-            anchor = i;
-          }
-          break;
-        case Action::kDrop:
-          release(p);
-          break;
-      }
-    };
-    occupied_.for_each_set(base_, n, visit);
-    occupied_.for_each_set(0, base_, visit);
+    occupied_.for_each_set(base_, n, [&](std::size_t p) { visit(p, anchor); });
+    occupied_.for_each_set(0, base_, [&](std::size_t p) { visit(p, anchor); });
 
     // Movement: every token moves one hop unless the slot ahead stays
     // occupied, so a stalled token blocks everything behind it. With no
@@ -208,6 +181,35 @@ class Ring : public sim::Component, public sim::Clocked {
   }
   std::size_t station(std::size_t p) const {
     return p >= base_ ? p - base_ : p + tokens_.size() - base_;
+  }
+
+  /// The station pass for the token in physical slot p.
+  void visit(std::size_t p, std::size_t& anchor) {
+    if (delivered_.test(p)) return;
+    const std::size_t i = station(p);
+    switch (stations_.classify(i, tokens_[p])) {
+      case Action::kPass:
+        break;
+      case Action::kDeliver:
+        if (stations_.try_deliver(i, tokens_[p])) {
+          delivered_.set(p);
+        } else {
+          stalled_.set(p);
+          anchor = i;
+        }
+        break;
+      case Action::kDeliverAndDrop:
+        if (stations_.try_deliver(i, tokens_[p])) {
+          release(p);
+        } else {
+          stalled_.set(p);
+          anchor = i;
+        }
+        break;
+      case Action::kDrop:
+        release(p);
+        break;
+    }
   }
 
   void release(std::size_t p) {
