@@ -80,15 +80,13 @@ struct FpgaNode::FrcStations {
   FpgaNode* node;
   int spe;
   std::size_t ex;
-  std::vector<geom::IVec3> lcells;  ///< by station: the cell it delivers to
 
   ring::Action classify(std::size_t i, const ring::ForceToken& t) const {
     if (i == ex) {
       return node->is_local(t.dest_lcid) ? ring::Action::kPass
                                          : ring::Action::kDeliverAndDrop;
     }
-    return t.dest_lcid == lcells[i] ? ring::Action::kDeliverAndDrop
-                                    : ring::Action::kPass;
+    return node->cells_->classify(static_cast<int>(ex - 1 - i), t);
   }
   bool try_deliver(std::size_t i, ring::ForceToken& t) {
     if (i != ex) return node->cells_->deliver(static_cast<int>(ex - 1 - i), spe, t);
@@ -103,15 +101,13 @@ struct FpgaNode::FrcStations {
 struct FpgaNode::MigStations {
   FpgaNode* node;
   std::size_t ex;
-  std::vector<geom::IVec3> lcells;  ///< by station: the cell it delivers to
 
   ring::Action classify(std::size_t i, const ring::MigrateToken& t) const {
     if (i == ex) {
       return node->is_local(t.dest_lcid) ? ring::Action::kPass
                                          : ring::Action::kDeliverAndDrop;
     }
-    return t.dest_lcid == lcells[i] ? ring::Action::kDeliverAndDrop
-                                    : ring::Action::kPass;
+    return node->cells_->classify(static_cast<int>(i), t);
   }
   bool try_deliver(std::size_t i, ring::MigrateToken& t) {
     if (i != ex) return node->cells_->deliver(static_cast<int>(i), 0, t);
@@ -183,7 +179,6 @@ FpgaNode::FpgaNode(NodeId id, const NodeConfig& config,
                                             node_coords_, lcells);
   const int num_cells = cells_->num_cells();
   const auto ex = static_cast<std::size_t>(num_cells);
-  std::vector<geom::IVec3> descending(lcells.rbegin(), lcells.rend());
   for (int c = 0; c < num_cells; ++c) {
     auto dests = map_.remote_destinations(cells_->global_cell(c));
     if (dests.empty()) continue;
@@ -223,7 +218,7 @@ FpgaNode::FpgaNode(NodeId id, const NodeConfig& config,
     frc_rings_.push_back(
         std::make_unique<ring::Ring<ring::ForceToken, FrcStations>>(
             node_name(id) + "/fr" + std::to_string(s),
-            FrcStations{this, s, ex, descending}, std::move(frc_sources)));
+            FrcStations{this, s, ex}, std::move(frc_sources)));
   }
 
   pending_pos_.resize(spes);
@@ -236,8 +231,7 @@ FpgaNode::FpgaNode(NodeId id, const NodeConfig& config,
   }
   mu_sources.push_back(ex_mig_inject_.get());
   mu_ring_ = std::make_unique<ring::Ring<ring::MigrateToken, MigStations>>(
-      node_name(id) + "/mur", MigStations{this, ex, lcells},
-      std::move(mu_sources));
+      node_name(id) + "/mur", MigStations{this, ex}, std::move(mu_sources));
 }
 
 FpgaNode::~FpgaNode() = default;

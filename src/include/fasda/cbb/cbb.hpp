@@ -133,7 +133,6 @@ class CellArray : public sim::Component {
 
   int num_cells() const { return static_cast<int>(cells_.size()); }
   Cbb cell(int c) { return Cbb(*this, c); }
-  const CbbConfig& config() const { return config_; }
 
   /// The two-phase FIFOs to register with the scheduler: the PE input and
   /// output FIFOs. The ring injection FIFOs (injector()) are committed by

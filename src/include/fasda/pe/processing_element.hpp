@@ -132,7 +132,6 @@ class PeArray {
     return true;
   }
   sim::Fifo<RefSlot>& input(int p) { return inputs_[p]; }
-  const sim::Fifo<RefSlot>& input(int p) const { return inputs_[p]; }
   /// Retired neighbour forces out: the CBB arbiter pops from here.
   sim::Fifo<ring::ForceToken>& output(int p) { return outputs_[p]; }
   const sim::Fifo<ring::ForceToken>& output(int p) const { return outputs_[p]; }

@@ -92,7 +92,6 @@ class Ring : public sim::Component, public sim::Clocked {
     return Slot{tokens_[p], delivered_.test(p), stalled_.test(p)};
   }
 
-  Stations& stations() { return stations_; }
   const sim::UtilCounter& util() const { return util_; }
 
   /// A ring only acts on tokens in flight or waiting to inject; everything

@@ -3,6 +3,7 @@
 // --key=value / bare --switch. Every flag is collected; a tool that rejects
 // the ones it does not read runs its body through Cli::run().
 
+#include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <optional>
@@ -38,6 +39,12 @@ class Cli {
   /// ("2fs") or overflow throw std::invalid_argument naming the flag.
   long get_or(std::string_view name, long fallback) const;
   double get_or(std::string_view name, double fallback) const;
+  /// A TCP port: --name as an integer in [min_port, 65535]. Absent, it is
+  /// `fallback`, or with no fallback the flag is required. A missing
+  /// required port or one out of range throws std::invalid_argument naming
+  /// the flag and the range.
+  std::uint16_t get_port(std::string_view name, long min_port,
+                         std::optional<long> fallback = std::nullopt) const;
 
   /// The first flag not in `known` ("--name"), else the first positional
   /// argument, else nullopt.

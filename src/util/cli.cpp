@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace fasda::util {
 
@@ -130,6 +131,26 @@ double Cli::get_or(std::string_view name, double fallback) const {
   auto v = get(name);
   if (!v) return fallback;
   return parse_number<double>(name, *v, std::strtod);
+}
+
+std::uint16_t Cli::get_port(std::string_view name, long min_port,
+                            std::optional<long> fallback) const {
+  const std::string range =
+      " (" + std::to_string(min_port) + "-65535)";
+  if (!has(name)) {
+    if (!fallback) {
+      throw std::invalid_argument("--" + std::string(name) + " is required" +
+                                  range);
+    }
+    return static_cast<std::uint16_t>(*fallback);
+  }
+  const long port = get_or(name, 0L);
+  if (port < min_port || port > 65535) {
+    throw std::invalid_argument("--" + std::string(name) + " " +
+                                std::to_string(port) + " is out of range" +
+                                range);
+  }
+  return static_cast<std::uint16_t>(port);
 }
 
 std::optional<std::string> Cli::first_unknown(

@@ -16,9 +16,15 @@
 // --verify recomputes every job locally through the same execute_job()
 // and requires the served result to be bitwise identical.
 //
-// Exit code: 0 when every job was admitted (after queue-full/tenant-quota/
-// recovering retries) and completed with its expected outcome (and, with
-// --verify, bitwise-matched the direct computation); 1 otherwise.
+// Exit codes:
+//   0  every job was admitted (after queue-full/tenant-quota/recovering
+//      retries) and completed with its expected outcome (and, with
+//      --verify, bitwise-matched the direct computation)
+//   1  usage error: an unread flag, a positional argument, a malformed
+//      number, a missing --port or one outside 1-65535, --kill-every
+//      without --pid-file (one line "fasda_loadgen: message" on stderr)
+//   2  runtime failure: a job failed, could not reach the daemon, or did
+//      not verify
 //
 // Usage:
 //   fasda_loadgen --port P [--host 127.0.0.1] [--clients 4] [--jobs 8]
@@ -34,6 +40,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,7 +174,7 @@ void killer_loop(const Options& opt, const std::atomic<int>& finished,
 int loadgen_main(const util::Cli& cli) {
   Options opt;
   opt.host = cli.get_or("host", opt.host);
-  opt.port = static_cast<std::uint16_t>(cli.get_or("port", 0L));
+  opt.port = cli.get_port("port", 1);
   opt.clients = static_cast<int>(cli.get_or("clients", 4L));
   opt.jobs = static_cast<int>(cli.get_or("jobs", 8L));
   opt.mix = cli.has_switch("mix");
@@ -183,13 +190,8 @@ int loadgen_main(const util::Cli& cli) {
   opt.idempotent = cli.has_switch("idempotent");
   opt.supervise_every =
       static_cast<int>(cli.get_or("supervise-every", 0L));
-  if (opt.port == 0) {
-    std::fprintf(stderr, "fasda_loadgen: --port is required\n");
-    return 1;
-  }
   if (opt.kill_every > 0 && opt.pid_file.empty()) {
-    std::fprintf(stderr, "fasda_loadgen: --kill-every needs --pid-file\n");
-    return 1;
+    throw std::invalid_argument("--kill-every needs --pid-file");
   }
 
   std::atomic<int> completed{0};
@@ -325,7 +327,7 @@ int loadgen_main(const util::Cli& cli) {
   const bool pass = failed.load() == 0 && completed.load() == total &&
                     verify_failures == 0 &&
                     (!durable || kills.load() > 0);
-  return pass ? 0 : 1;
+  return pass ? 0 : 2;
 }
 
 }  // namespace

@@ -25,6 +25,13 @@
 //
 // --port 0 binds an ephemeral port; the actual port is announced on stdout
 // as "fasda_serve: listening on HOST:PORT" so harnesses can parse it.
+//
+// Exit codes:
+//   0  drained after SIGTERM/SIGINT (or --help)
+//   1  usage error: an unread flag, a positional argument, a malformed
+//      number, --port outside 0-65535, a bad --journal-fsync or
+//      --log-level (one line "fasda_serve: message" on stderr)
+//   2  runtime failure: cannot open --log-json, the server failed to start
 // --pid-file writes the daemon pid once listening (and removes it on
 // graceful exit) so crash harnesses can aim their SIGKILL.
 //
@@ -40,6 +47,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -67,7 +75,7 @@ int serve_main(const util::Cli& cli) {
 
   serve::ServerConfig config;
   config.host = cli.get_or("host", "127.0.0.1");
-  config.port = static_cast<std::uint16_t>(cli.get_or("port", 0L));
+  config.port = cli.get_port("port", 0, 0);
   config.queue_workers =
       static_cast<std::size_t>(cli.get_or("queue-workers", 2L));
   config.queue.capacity =
@@ -85,10 +93,8 @@ int serve_main(const util::Cli& cli) {
   } else if (fsync_policy == "never") {
     config.journal_fsync = serve::JournalFsync::kNever;
   } else {
-    std::fprintf(stderr,
-                 "fasda_serve: --journal-fsync must be always|never, got %s\n",
-                 fsync_policy.c_str());
-    return 2;
+    throw std::invalid_argument("--journal-fsync must be always|never, got " +
+                                fsync_policy);
   }
   const std::string pid_file = cli.get_or("pid-file", "");
 
@@ -98,14 +104,7 @@ int serve_main(const util::Cli& cli) {
       static_cast<int>(cli.get_or("metrics-every", 5L));
   config.trace_out = cli.get_or("trace-out", "");
   const std::string log_level = cli.get_or("log-level", "");
-  if (!log_level.empty()) {
-    try {
-      util::set_log_level(util::parse_log_level(log_level));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "fasda_serve: %s\n", e.what());
-      return 2;
-    }
-  }
+  if (!log_level.empty()) util::set_log_level(util::parse_log_level(log_level));
   const std::string log_json = cli.get_or("log-json", "");
   if (!log_json.empty() && !util::open_json_log(log_json)) {
     std::fprintf(stderr, "fasda_serve: cannot open --log-json %s\n",
@@ -118,7 +117,7 @@ int serve_main(const util::Cli& cli) {
     server.start();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fasda_serve: %s\n", e.what());
-    return 1;
+    return 2;
   }
   if (!pid_file.empty()) {
     if (std::FILE* f = std::fopen(pid_file.c_str(), "w")) {

@@ -5,16 +5,22 @@
 // observability body to stdout (or --out): JSON by default, the Prometheus
 // text exposition with --format prometheus. --ping instead prints the
 // enriched kPong health body (queue depth, workers, journal/fsync state,
-// recovery counters, uptime). Exit codes: 0 scraped, 1 connection or
-// protocol failure (or an unread flag or malformed number, like every
-// tool), 2 a missing --port or bad --format — so CI can assert a live
-// daemon scrapes.
+// recovery counters, uptime), so CI can assert a live daemon scrapes.
+//
+// Exit codes:
+//   0  scraped
+//   1  usage error: an unread flag, a positional argument, a malformed
+//      number, a missing --port or one outside 1-65535, a bad --format
+//      (one line "fasda_stat: message" on stderr)
+//   2  runtime failure: cannot connect, a protocol failure, cannot write
+//      --out
 //
 // Usage:
 //   fasda_stat [--host 127.0.0.1] --port P [--format json|prometheus]
 //              [--ping] [--out PATH] [--retries N]
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "fasda/serve/client.hpp"
@@ -33,36 +39,31 @@ int stat_main(const util::Cli& cli) {
     return 0;
   }
   const std::string host = cli.get_or("host", "127.0.0.1");
-  const long port = cli.get_or("port", 0L);
-  if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "fasda_stat: --port is required (1-65535)\n");
-    return 2;
-  }
+  const std::uint16_t port = cli.get_port("port", 1);
   const std::string format = cli.get_or("format", "json");
   if (format != "json" && format != "prometheus") {
-    std::fprintf(stderr,
-                 "fasda_stat: --format must be json|prometheus, got %s\n",
-                 format.c_str());
-    return 2;
+    throw std::invalid_argument("--format must be json|prometheus, got " +
+                                format);
   }
   const std::string out_path = cli.get_or("out", "");
 
+  serve::RetryPolicy policy;
+  policy.max_attempts = static_cast<int>(cli.get_or("retries", 5L));
+
   std::string body;
   try {
-    serve::RetryPolicy policy;
-    policy.max_attempts = static_cast<int>(cli.get_or("retries", 5L));
-    serve::Client client(host, static_cast<std::uint16_t>(port), policy);
+    serve::Client client(host, port, policy);
     body = cli.has_switch("ping") ? client.ping() : client.stats(format);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fasda_stat: %s\n", e.what());
-    return 1;
+    return 2;
   }
 
   if (!out_path.empty()) {
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "fasda_stat: cannot write %s\n", out_path.c_str());
-      return 1;
+      return 2;
     }
     std::fwrite(body.data(), 1, body.size(), f);
     if (body.empty() || body.back() != '\n') std::fputc('\n', f);
