@@ -177,7 +177,7 @@ class Queue {
   /// Appends an item; returns false (and drops nothing) when full.
   bool push(T value) {
     if (!can_push()) return false;
-    if (size_ == slots_) grow();
+    if (size_ == buf_.size()) grow();
     buf_[(head_ + size_) & mask_] = std::move(value);
     ++size_;
     return true;
@@ -193,24 +193,21 @@ class Queue {
   }
 
  private:
-  /// Called only when full: copies the occupied run to the start of a
+  /// Called only when full: moves the occupied run to the start of a
   /// buffer twice the size.
   void grow() {
-    const std::size_t slots = slots_ == 0 ? 4 : 2 * slots_;
-    std::unique_ptr<T[]> buf(new T[slots]);
+    std::vector<T> buf(buf_.empty() ? 4 : 2 * buf_.size());
     for (std::size_t i = 0; i < size_; ++i) {
       buf[i] = std::move(buf_[(head_ + i) & mask_]);
     }
     buf_ = std::move(buf);
-    slots_ = slots;
-    mask_ = slots - 1;
+    mask_ = buf_.size() - 1;
     head_ = 0;
   }
 
-  std::unique_ptr<T[]> buf_;  ///< null or a power-of-two number of slots
-  std::size_t slots_ = 0;
-  std::size_t mask_ = 0;      ///< slots_ - 1
-  std::size_t head_ = 0;      ///< oldest item
+  std::vector<T> buf_;     ///< empty or a power-of-two number of slots
+  std::size_t mask_ = 0;   ///< buf_.size() - 1
+  std::size_t head_ = 0;   ///< oldest item
   std::size_t size_ = 0;
   std::size_t capacity_;
 };
