@@ -264,10 +264,12 @@ void CellArray::tick(sim::Cycle now) {
     mu_arrivals_pending_ = 0;
   }
   // The CBB stages of every cell, then every PE. A cell's stages touch
-  // only its own state, its lanes and its own PEs' FIFOs, and they still
-  // run before its PEs', so this is the order the per-object datapath
-  // ticked in as far as any state can tell. Position injection keeps CID
-  // order, which is the order remote positions reach the P2R chain.
+  // only its own state, its lanes and its own PEs' FIFOs, so cells commute;
+  // what must hold is that a cell's stages run before its PEs' within a
+  // cycle: the dispatcher sizes a PE input before the PE pops it, and the
+  // arbiter pops a PE output before the PE retires into it. Position
+  // injection keeps CID order, the order remote positions reach the P2R
+  // chain.
   for (int c = 0; c < num_cells(); ++c) {
     if (cells_[c].phase == Phase::kMotionUpdate) tick_motion_update(c);
   }

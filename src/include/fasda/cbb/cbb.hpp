@@ -19,13 +19,13 @@
 // dispatched round-robin across every PE.
 //
 // All CBBs of a node and their PEs live in one CellArray, the node's single
-// scheduled datapath component besides its rings. Its tick walks the cells
-// in CID order: each cell's CBB stages (migration intake, position
-// injection, arrival intake, dispatch, force-output arbitration, motion
-// update), then that cell's PE stages. The cell's ring stations are table
-// lookups: position acceptance and the RCID rebase offset per (cell, source
-// cell) are built once from the ClusterMap at construction. `Cbb` is a
-// lightweight handle on one cell of the array.
+// scheduled datapath component besides its rings. Its tick runs the CBB
+// stages of every cell (migration intake, motion update, position
+// injection, then arrival intake, dispatch and force-output arbitration
+// for the busy lanes), then the stages of every active PE. The cells' ring
+// stations are table lookups: position acceptance and the RCID rebase
+// offset per (cell, source cell) are built once from the ClusterMap at
+// construction. `Cbb` is a lightweight handle on one cell of the array.
 
 #include <functional>
 #include <vector>
@@ -198,8 +198,7 @@ class CellArray : public sim::Component {
   const geom::IVec3& local_cell(int c) const { return cells_[c].lcell; }
   const geom::IVec3& global_cell(int c) const { return cells_[c].gcell; }
 
-  /// One cycle of every cell, in CID order: the cell's CBB stages, then
-  /// its PEs (the order the per-object datapath used to be ticked in).
+  /// One cycle: every cell's CBB stages, then every PE's.
   void tick(sim::Cycle now) override;
 
   /// Elision oracle, aggregated exactly over the cells and PEs: busy while

@@ -154,8 +154,7 @@ class Bitset {
 
 /// Single-phase bounded queue: one power-of-two circular buffer that grows
 /// on demand (doubling) up to `capacity` items and is never sized to the
-/// bound up front, so a queue that is never pushed allocates nothing.
-/// Copying copies the items (the scheduler-facing Fifo wraps one). For
+/// bound up front, so a queue that is never pushed allocates nothing. For
 /// queues whose producer and consumer are ticked by the same component in a
 /// fixed order, or whose producer always ticks after its consumer within a
 /// cycle (where a staged push and a plain push are indistinguishable).
@@ -163,11 +162,6 @@ template <class T>
 class Queue {
  public:
   explicit Queue(std::size_t capacity) : capacity_(capacity) {}
-
-  Queue(const Queue& o) : capacity_(o.capacity_) {
-    for (std::size_t i = 0; i < o.size_; ++i) push(o.buf_[(o.head_ + i) & o.mask_]);
-  }
-  Queue& operator=(const Queue&) = delete;
 
   bool can_push() const { return size_ < capacity_; }
   bool empty() const { return size_ == 0; }
