@@ -49,10 +49,7 @@ CellArray::CellArray(std::string name, const CbbConfig& config,
       if (map_.node_of_cell(target) == node) ++cell.local_pos_deliveries;
     }
     cell.has_remote_dests = !map_.remote_destinations(cell.gcell).empty();
-    mu_stations_.emplace_back(this, static_cast<int>(c), 0);
     for (int s = 0; s < config_.spes; ++s) {
-      pos_stations_.emplace_back(this, static_cast<int>(c), s);
-      frc_stations_.emplace_back(this, static_cast<int>(c), s);
       for (int k = 0; k < config_.pes_per_spe; ++k) {
         const int fc_index = s * (config_.pes_per_spe + 1) + k;
         pes_.bind(first_pe(static_cast<int>(c)) + s * config_.pes_per_spe + k,
@@ -471,41 +468,5 @@ std::uint64_t CellArray::pairs_issued(int c) const {
   for (int p = first; p < last; ++p) n += pes_.pairs_issued(p);
   return n;
 }
-
-// ---------------------------------------------------------------- handle
-
-const geom::IVec3& Cbb::local_cell() const { return cells_->local_cell(cell_); }
-const geom::IVec3& Cbb::global_cell() const {
-  return cells_->global_cell(cell_);
-}
-std::vector<pe::CellParticle>& Cbb::particles() const {
-  return cells_->particles(cell_);
-}
-std::vector<geom::Vec3f> Cbb::forces() const { return cells_->forces(cell_); }
-void Cbb::begin_force_phase() const { cells_->begin_force_phase(cell_); }
-bool Cbb::force_quiescent() const { return cells_->force_quiescent(cell_); }
-bool Cbb::positions_injected() const {
-  return cells_->positions_injected(cell_);
-}
-bool Cbb::migration_intake_empty() const {
-  return cells_->migration_intake_empty(cell_);
-}
-void Cbb::begin_motion_update() const { cells_->begin_motion_update(cell_); }
-bool Cbb::mu_done() const { return cells_->mu_done(cell_); }
-sim::UtilCounter Cbb::pe_util() const { return cells_->pe_util(cell_); }
-sim::UtilCounter Cbb::filter_util() const { return cells_->filter_util(cell_); }
-sim::UtilCounter Cbb::mu_util() const { return cells_->mu_util(cell_); }
-std::uint64_t Cbb::pairs_issued() const { return cells_->pairs_issued(cell_); }
-CellStation<ring::PosToken>& Cbb::pos_station(int spe) const {
-  return cells_->pos_station(cell_, spe);
-}
-CellStation<ring::ForceToken>& Cbb::frc_station(int spe) const {
-  return cells_->frc_station(cell_, spe);
-}
-CellStation<ring::MigrateToken>& Cbb::mu_station() const {
-  return cells_->mu_station(cell_);
-}
-int Cbb::num_pes() const { return cells_->pes_per_cell(); }
-int Cbb::num_fcs() const { return cells_->num_fcs(); }
 
 }  // namespace fasda::cbb

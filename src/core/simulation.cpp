@@ -150,7 +150,8 @@ Simulation::Simulation(const md::SystemState& state, md::ForceField ff,
     particle.vel = state.velocities[i].cast<float>();
     particle.elem = state.elements[i];
     particle.id = static_cast<std::uint32_t>(i);
-    nodes_[map_.node_id(node)]->cbb_at(lcell).particles().push_back(particle);
+    const fpga::FpgaNode& owner = *nodes_[map_.node_id(node)];
+    owner.cells().particles(owner.cell_index(lcell)).push_back(particle);
   }
 }
 
@@ -333,10 +334,9 @@ md::SystemState Simulation::state() const {
   out.elements.resize(num_particles_);
   for (const auto& node : nodes_) {
     for (int c = 0; c < node->num_cbbs(); ++c) {
-      const cbb::Cbb& block = node->cbb_by_index(c);
-      for (const pe::CellParticle& p : block.particles()) {
+      for (const pe::CellParticle& p : node->cells().particles(c)) {
         out.positions[p.id] =
-            md::decode(block.global_cell(), p.pos, config_.cutoff);
+            md::decode(node->cells().global_cell(c), p.pos, config_.cutoff);
         out.velocities[p.id] = p.vel.cast<double>();
         out.elements[p.id] = p.elem;
       }
@@ -349,9 +349,8 @@ std::vector<geom::Vec3f> Simulation::forces_by_particle() const {
   std::vector<geom::Vec3f> out(num_particles_);
   for (const auto& node : nodes_) {
     for (int c = 0; c < node->num_cbbs(); ++c) {
-      const cbb::Cbb& block = node->cbb_by_index(c);
-      const auto& particles = block.particles();
-      const std::vector<geom::Vec3f> forces = block.forces();
+      const auto& particles = node->cells().particles(c);
+      const std::vector<geom::Vec3f> forces = node->cells().forces(c);
       for (std::size_t s = 0; s < forces.size() && s < particles.size(); ++s) {
         out[particles[s].id] = forces[s];
       }

@@ -261,6 +261,9 @@ void FpgaNode::register_with(sim::Scheduler& scheduler) {
     scheduler.add(c, shard_id);
     return c;
   };
+  // The cell array must tick before the rings. The rings push arrivals
+  // into its single-phase queues; ticked first, the cells see a delivery
+  // of cycle t at t + 1, as through a two-phase FIFO.
   cells_sched_ = add_datapath(cells_.get());
   for (sim::Clocked* cl : cells_->clocked()) scheduler.add_clocked(cl, shard_id);
   // Each ring commits its own injection FIFOs (the cells' and the EX's).
@@ -274,11 +277,6 @@ void FpgaNode::register_with(sim::Scheduler& scheduler) {
   }
   add_datapath(mu_ring_.get());
   scheduler.add_clocked(mu_ring_.get(), shard_id);
-}
-
-cbb::Cbb FpgaNode::cbb_at(const geom::IVec3& lcell) const {
-  const geom::IVec3& cpn = map_.cells_per_node();
-  return cells_->cell((lcell.x * cpn.y + lcell.y) * cpn.z + lcell.z);
 }
 
 void FpgaNode::start(int iterations) {

@@ -25,7 +25,7 @@
 // for the busy lanes), then the stages of every active PE. The cells' ring
 // stations are table lookups: position acceptance and the RCID rebase
 // offset per (cell, source cell) are built once from the ClusterMap at
-// construction. `Cbb` is a lightweight handle on one cell of the array.
+// construction.
 
 #include <functional>
 #include <vector>
@@ -61,65 +61,6 @@ struct RemotePosition {
 
 using FcProbe = pe::FcProbe;
 
-class CellArray;
-
-/// One cell's ring station, as seen from outside the ring (tests, and the
-/// per-station view of a node's table-driven station sets).
-template <class T>
-class CellStation {
- public:
-  CellStation(CellArray* cells, int cell, int spe)
-      : cells_(cells), cell_(cell), spe_(spe) {}
-  ring::Action classify(const T& token) const;
-  bool try_deliver(T& token) const;
-  sim::Fifo<T>* inject_source() const;
-
- private:
-  CellArray* cells_;
-  int cell_;
-  int spe_;
-};
-
-/// Handle on one cell of a CellArray: the per-CBB view.
-class Cbb {
- public:
-  Cbb(CellArray& cells, int cell) : cells_(&cells), cell_(cell) {}
-
-  const geom::IVec3& local_cell() const;
-  const geom::IVec3& global_cell() const;
-
-  std::vector<pe::CellParticle>& particles() const;
-  /// Per-slot combined forces read out of the fixed-point FC accumulators.
-  /// Accumulation is order-independent (see fixed::ForceAccum), so this is
-  /// bitwise identical no matter how ring/network timing interleaved the
-  /// contributing writes.
-  std::vector<geom::Vec3f> forces() const;
-
-  // ---- phase control ----
-  void begin_force_phase() const;
-  bool force_quiescent() const;
-  bool positions_injected() const;
-  bool migration_intake_empty() const;
-  void begin_motion_update() const;
-  bool mu_done() const;
-
-  CellStation<ring::PosToken>& pos_station(int spe) const;
-  CellStation<ring::ForceToken>& frc_station(int spe) const;
-  CellStation<ring::MigrateToken>& mu_station() const;
-
-  // ---- statistics ----
-  sim::UtilCounter pe_util() const;
-  sim::UtilCounter filter_util() const;
-  sim::UtilCounter mu_util() const;
-  std::uint64_t pairs_issued() const;
-  int num_pes() const;
-  int num_fcs() const;
-
- private:
-  CellArray* cells_;
-  int cell_;
-};
-
 class CellArray : public sim::Component {
  public:
   /// The cells `lcells` of `node` (a node passes all of its cells in local
@@ -132,7 +73,6 @@ class CellArray : public sim::Component {
   CellArray& operator=(const CellArray&) = delete;
 
   int num_cells() const { return static_cast<int>(cells_.size()); }
-  Cbb cell(int c) { return Cbb(*this, c); }
 
   /// The two-phase FIFOs to register with the scheduler: the PE input and
   /// output FIFOs. The ring injection FIFOs (injector()) are committed by
@@ -166,15 +106,6 @@ class CellArray : public sim::Component {
   bool deliver(int c, int spe, ring::MigrateToken& t);
   template <class T>
   sim::Fifo<T>& injector(int c, int spe);
-  CellStation<ring::PosToken>& pos_station(int c, int spe) {
-    return pos_stations_[lane(c, spe)];
-  }
-  CellStation<ring::ForceToken>& frc_station(int c, int spe) {
-    return frc_stations_[lane(c, spe)];
-  }
-  CellStation<ring::MigrateToken>& mu_station(int c) {
-    return mu_stations_[static_cast<std::size_t>(c)];
-  }
 
   // ---- phase control (driven by the FpgaNode) ----
   void begin_force_phase(int c);
@@ -282,7 +213,9 @@ class CellArray : public sim::Component {
   // Per (cell, SPE), indexed by lane(c, spe).
   std::vector<sim::Fifo<ring::PosToken>> pr_inject_;
   std::vector<sim::Fifo<ring::ForceToken>> fr_inject_;
-  // Pool slots of the (cell, SPE) reference pool in pes_.
+  // Pool slots of the (cell, SPE) reference pool in pes_. arrivals_ and
+  // mu_arrivals_ are single-phase: the rings that push them tick after the
+  // array (FpgaNode::register_with), so a delivery is seen a cycle later.
   std::vector<sim::Queue<pe::PeArray::RefSlot>> arrivals_;  ///< PRN deliveries
   std::vector<sim::Queue<pe::PeArray::RefSlot>> dispatch_;
   // Per cell.
@@ -304,11 +237,6 @@ class CellArray : public sim::Component {
   geom::IVec3 halo_dims_;
   std::size_t halo_cells_ = 0;
   std::vector<PosRoute> pos_routes_;  ///< halo_cells_ per cell
-
-  // Per-station views, for callers outside the rings.
-  std::vector<CellStation<ring::PosToken>> pos_stations_;
-  std::vector<CellStation<ring::ForceToken>> frc_stations_;
-  std::vector<CellStation<ring::MigrateToken>> mu_stations_;
 };
 
 template <>
@@ -319,18 +247,5 @@ sim::Fifo<ring::ForceToken>& CellArray::injector<ring::ForceToken>(int c,
 template <>
 sim::Fifo<ring::MigrateToken>& CellArray::injector<ring::MigrateToken>(int c,
                                                                        int spe);
-
-template <class T>
-ring::Action CellStation<T>::classify(const T& token) const {
-  return cells_->classify(cell_, token);
-}
-template <class T>
-bool CellStation<T>::try_deliver(T& token) const {
-  return cells_->deliver(cell_, spe_, token);
-}
-template <class T>
-sim::Fifo<T>* CellStation<T>::inject_source() const {
-  return &cells_->template injector<T>(cell_, spe_);
-}
 
 }  // namespace fasda::cbb

@@ -124,9 +124,13 @@ class FpgaNode : public sim::Component {
     return force_phase_starts_;
   }
 
-  /// Handle on the CBB of a local cell, or of local CID `i`.
-  cbb::Cbb cbb_at(const geom::IVec3& lcell) const;
-  cbb::Cbb cbb_by_index(int i) const { return cells_->cell(i); }
+  /// The CBBs of every local cell; a cell's index is its local CID
+  /// (cell_index()).
+  cbb::CellArray& cells() const { return *cells_; }
+  int cell_index(const geom::IVec3& lcell) const {
+    const geom::IVec3& cpn = map_.cells_per_node();
+    return (lcell.x * cpn.y + lcell.y) * cpn.z + lcell.z;
+  }
   int num_cbbs() const { return cells_->num_cells(); }
 
   NodeId id() const { return id_; }

@@ -14,8 +14,7 @@ struct CbbHarness {
       : ff(md::ForceField::sodium()),
         model(ff, 8.5, interp::InterpConfig{}, md::ForceTerms{}, 2.0, 8.5),
         map({1, 1, 1}, {3, 3, 3}),
-        cells("cells", config, model, map, {0, 0, 0}, {lcell}),
-        block(cells.cell(0)) {
+        cells("cells", config, model, map, {0, 0, 0}, {lcell}) {
     spes_ = config.spes;
     scheduler.add(&cells);
     for (sim::Clocked* c : cells.clocked()) scheduler.add_clocked(c);
@@ -37,7 +36,7 @@ struct CbbHarness {
       p.vel = {0.001f, -0.002f, 0.0005f};
       p.elem = 0;
       p.id = static_cast<std::uint32_t>(i);
-      block.particles().push_back(p);
+      cells.particles(0).push_back(p);
     }
   }
 
@@ -48,13 +47,13 @@ struct CbbHarness {
     for (int i = 0; i < cycles; ++i) {
       if (drain_rings) {
         for (int s = 0; s < spes_; ++s) {
-          auto* pos = block.pos_station(s).inject_source();
-          if (!pos->empty()) drained_pos.push_back(pos->pop());
-          auto* frc = block.frc_station(s).inject_source();
-          if (!frc->empty()) drained_frc.push_back(frc->pop());
+          auto& pos = cells.injector<ring::PosToken>(0, s);
+          if (!pos.empty()) drained_pos.push_back(pos.pop());
+          auto& frc = cells.injector<ring::ForceToken>(0, s);
+          if (!frc.empty()) drained_frc.push_back(frc.pop());
         }
-        auto* mu = block.mu_station().inject_source();
-        if (!mu->empty()) drained_mu.push_back(mu->pop());
+        auto& mu = cells.injector<ring::MigrateToken>(0, 0);
+        if (!mu.empty()) drained_mu.push_back(mu.pop());
       }
       scheduler.run_cycle();
     }
@@ -69,20 +68,19 @@ struct CbbHarness {
   md::Datapath model;
   idmap::ClusterMap map;
   CellArray cells;
-  Cbb block;
   sim::Scheduler scheduler;
 };
 
 TEST(Cbb, HomePairsProduceForces) {
   CbbHarness h;
   h.fill(16);
-  h.block.begin_force_phase();
-  for (int i = 0; i < 5000 && !h.block.force_quiescent(); ++i) h.run(1, true);
-  ASSERT_TRUE(h.block.force_quiescent());
+  h.cells.begin_force_phase(0);
+  for (int i = 0; i < 5000 && !h.cells.force_quiescent(0); ++i) h.run(1, true);
+  ASSERT_TRUE(h.cells.force_quiescent(0));
   // Newton's third law within the cell: forces sum to ~0.
   geom::Vec3f sum{};
   double magnitude = 0.0;
-  for (const auto& f : h.block.forces()) {
+  for (const auto& f : h.cells.forces(0)) {
     sum += f;
     magnitude += f.cast<double>().norm();
   }
@@ -93,26 +91,26 @@ TEST(Cbb, HomePairsProduceForces) {
 TEST(Cbb, PositionsInjectedOntoRing) {
   CbbHarness h;
   h.fill(8);
-  h.block.begin_force_phase();
-  EXPECT_FALSE(h.block.positions_injected());
+  h.cells.begin_force_phase(0);
+  EXPECT_FALSE(h.cells.positions_injected(0));
   h.run(50);
-  EXPECT_TRUE(h.block.positions_injected());
+  EXPECT_TRUE(h.cells.positions_injected(0));
   // Without a ring draining pr_inject the CBB must not be quiescent… the
   // injected tokens sit in the injection FIFO.
-  EXPECT_FALSE(h.block.force_quiescent());
+  EXPECT_FALSE(h.cells.force_quiescent(0));
 }
 
 TEST(Cbb, MotionUpdateIntegratesVelocity) {
   CbbHarness h;
   h.fill(4);
   // Skip force evaluation: zero forces, constant velocity drift.
-  h.block.begin_force_phase();
-  for (int i = 0; i < 5000 && !h.block.force_quiescent(); ++i) h.run(1, true);
-  const auto before = h.block.particles();
-  h.block.begin_motion_update();
-  for (int i = 0; i < 200 && !h.block.mu_done(); ++i) h.run(1);
-  ASSERT_TRUE(h.block.mu_done());
-  const auto& after = h.block.particles();
+  h.cells.begin_force_phase(0);
+  for (int i = 0; i < 5000 && !h.cells.force_quiescent(0); ++i) h.run(1, true);
+  const auto before = h.cells.particles(0);
+  h.cells.begin_motion_update(0);
+  for (int i = 0; i < 200 && !h.cells.mu_done(0); ++i) h.run(1);
+  ASSERT_TRUE(h.cells.mu_done(0));
+  const auto& after = h.cells.particles(0);
   for (std::size_t i = 0; i < after.size(); ++i) {
     // x advances by vx*dt/cell = 0.001*2/8.5 cells.
     const double expected =
@@ -130,20 +128,20 @@ TEST(Cbb, MigrationEmitsTokenAndRemovesParticle) {
   p.vel = {0.5f, 0.0f, 0.0f};  // fast: crosses the +x boundary in one step
   p.elem = 0;
   p.id = 42;
-  h.block.particles().push_back(p);
-  h.block.begin_force_phase();
-  for (int i = 0; i < 2000 && !h.block.force_quiescent(); ++i) h.run(1, true);
-  h.block.begin_motion_update();
-  for (int i = 0; i < 100 && !h.block.mu_done(); ++i) h.run(1, true);
-  ASSERT_TRUE(h.block.mu_done());
+  h.cells.particles(0).push_back(p);
+  h.cells.begin_force_phase(0);
+  for (int i = 0; i < 2000 && !h.cells.force_quiescent(0); ++i) h.run(1, true);
+  h.cells.begin_motion_update(0);
+  for (int i = 0; i < 100 && !h.cells.mu_done(0); ++i) h.run(1, true);
+  ASSERT_TRUE(h.cells.mu_done(0));
   // The harness drained the MU ring token: it targets the +x neighbour and
   // carries the particle id.
   ASSERT_EQ(h.drained_mu.size(), 1u);
   EXPECT_EQ(h.drained_mu[0].dest_lcid, (geom::IVec3{2, 1, 1}));
   EXPECT_EQ(h.drained_mu[0].particle_id, 42u);
   // The particle is tombstoned and disappears at the next force phase.
-  h.block.begin_force_phase();
-  EXPECT_TRUE(h.block.particles().empty());
+  h.cells.begin_force_phase(0);
+  EXPECT_TRUE(h.cells.particles(0).empty());
 }
 
 TEST(Cbb, MigrationArrivalAppendsParticle) {
@@ -157,11 +155,11 @@ TEST(Cbb, MigrationArrivalAppendsParticle) {
   token.vel = {0.0f, 0.0f, 0.0f};
   token.elem = 0;
   token.particle_id = 77;
-  ASSERT_TRUE(h.block.mu_station().try_deliver(token));
+  ASSERT_TRUE(h.cells.deliver(0, 0, token));
   h.run(2);  // commit + intake
-  ASSERT_EQ(h.block.particles().size(), 3u);
-  EXPECT_EQ(h.block.particles().back().id, 77u);
-  EXPECT_TRUE(h.block.migration_intake_empty());
+  ASSERT_EQ(h.cells.particles(0).size(), 3u);
+  EXPECT_EQ(h.cells.particles(0).back().id, 77u);
+  EXPECT_TRUE(h.cells.migration_intake_empty(0));
 }
 
 TEST(Cbb, MuStationOnlyAcceptsOwnCell) {
@@ -171,8 +169,8 @@ TEST(Cbb, MuStationOnlyAcceptsOwnCell) {
   ring::MigrateToken other;
   other.dest_lcid = {0, 1, 1};
   using Action = ring::Action;
-  EXPECT_EQ(h.block.mu_station().classify(mine), Action::kDeliverAndDrop);
-  EXPECT_EQ(h.block.mu_station().classify(other), Action::kPass);
+  EXPECT_EQ(h.cells.classify(0, mine), Action::kDeliverAndDrop);
+  EXPECT_EQ(h.cells.classify(0, other), Action::kPass);
 }
 
 TEST(Cbb, PosStationAcceptsForwardNeighborsOnly) {
@@ -182,32 +180,32 @@ TEST(Cbb, PosStationAcceptsForwardNeighborsOnly) {
   token.deliveries_remaining = 5;
   // (0,1,1) -> (1,1,1) is +x: forward, so the PRN accepts.
   token.src_lcid = {0, 1, 1};
-  EXPECT_EQ(h.block.pos_station(0).classify(token), Action::kDeliver);
+  EXPECT_EQ(h.cells.classify(0, token), Action::kDeliver);
   // Last delivery drops the token from the ring.
   token.deliveries_remaining = 1;
-  EXPECT_EQ(h.block.pos_station(0).classify(token), Action::kDeliverAndDrop);
+  EXPECT_EQ(h.cells.classify(0, token), Action::kDeliverAndDrop);
   // (2,1,1) -> (1,1,1) is -x: backward, pass.
   token.src_lcid = {2, 1, 1};
-  EXPECT_EQ(h.block.pos_station(0).classify(token), Action::kPass);
+  EXPECT_EQ(h.cells.classify(0, token), Action::kPass);
   // Own cell: never a neighbour of itself.
   token.src_lcid = {1, 1, 1};
-  EXPECT_EQ(h.block.pos_station(0).classify(token), Action::kPass);
+  EXPECT_EQ(h.cells.classify(0, token), Action::kPass);
 }
 
 TEST(Cbb, FrcStationMatchesExactCell) {
   CbbHarness h;
   h.fill(4);
-  h.block.begin_force_phase();  // sizes the force array
+  h.cells.begin_force_phase(0);  // sizes the force array
   using Action = ring::Action;
   ring::ForceToken token;
   token.dest_lcid = {1, 1, 1};
   token.slot = 2;
   token.force = {1.0f, 2.0f, 3.0f};
-  EXPECT_EQ(h.block.frc_station(0).classify(token), Action::kDeliverAndDrop);
-  ASSERT_TRUE(h.block.frc_station(0).try_deliver(token));
-  EXPECT_FLOAT_EQ(h.block.forces()[2].y, 2.0f);
+  EXPECT_EQ(h.cells.classify(0, token), Action::kDeliverAndDrop);
+  ASSERT_TRUE(h.cells.deliver(0, 0, token));
+  EXPECT_FLOAT_EQ(h.cells.forces(0)[2].y, 2.0f);
   token.dest_lcid = {0, 0, 0};
-  EXPECT_EQ(h.block.frc_station(0).classify(token), Action::kPass);
+  EXPECT_EQ(h.cells.classify(0, token), Action::kPass);
 }
 
 TEST(Cbb, RemoteOfferFiresForBoundaryCells) {
@@ -218,7 +216,6 @@ TEST(Cbb, RemoteOfferFiresForBoundaryCells) {
                      8.5);
   idmap::ClusterMap map({2, 2, 2}, {2, 2, 2});
   CellArray cells("cells", CbbConfig{}, model, map, {0, 0, 0}, {{1, 1, 1}});
-  Cbb block = cells.cell(0);
   int offers = 0;
   cells.set_remote_position_sink(0, [&](const RemotePosition&) { ++offers; });
 
@@ -232,9 +229,9 @@ TEST(Cbb, RemoteOfferFiresForBoundaryCells) {
              fixed::FixedCoord::from_cell_offset(2, 0.5),
              fixed::FixedCoord::from_cell_offset(2, 0.5)};
     p.id = static_cast<std::uint32_t>(i);
-    block.particles().push_back(p);
+    cells.particles(0).push_back(p);
   }
-  block.begin_force_phase();
+  cells.begin_force_phase(0);
   for (int i = 0; i < 100; ++i) scheduler.run_cycle();
   EXPECT_EQ(offers, 4);
 }
@@ -244,11 +241,13 @@ TEST(Cbb, ScbbVariantBuildsMultipleRingInterfaces) {
   config.pes_per_spe = 3;
   config.spes = 2;
   CbbHarness h(config);
-  EXPECT_EQ(h.block.num_pes(), 6);
-  EXPECT_EQ(h.block.num_fcs(), 2 * 4);
+  EXPECT_EQ(h.cells.pes_per_cell(), 6);
+  EXPECT_EQ(h.cells.num_fcs(), 2 * 4);
   // Both SPE ring interfaces exist and are distinct.
-  EXPECT_NE(&h.block.pos_station(0), &h.block.pos_station(1));
-  EXPECT_NE(&h.block.frc_station(0), &h.block.frc_station(1));
+  EXPECT_NE(&h.cells.injector<ring::PosToken>(0, 0),
+            &h.cells.injector<ring::PosToken>(0, 1));
+  EXPECT_NE(&h.cells.injector<ring::ForceToken>(0, 0),
+            &h.cells.injector<ring::ForceToken>(0, 1));
 }
 
 TEST(Cbb, ScbbSplitsInjectionBySlotParity) {
@@ -256,15 +255,15 @@ TEST(Cbb, ScbbSplitsInjectionBySlotParity) {
   config.spes = 2;
   CbbHarness h(config);
   h.fill(8);
-  h.block.begin_force_phase();
+  h.cells.begin_force_phase(0);
   h.run(30);
   // Even slots feed ring 0, odd slots ring 1 (PC0/PC1, §4.6): drain both
-  // injection FIFOs via their stations and count.
+  // injection FIFOs and count.
   int even = 0, odd = 0;
   for (int s = 0; s < 2; ++s) {
-    auto* fifo = h.block.pos_station(s).inject_source();
-    while (!fifo->empty()) {
-      const auto token = fifo->pop();
+    auto& fifo = h.cells.injector<ring::PosToken>(0, s);
+    while (!fifo.empty()) {
+      const auto token = fifo.pop();
       (token.slot % 2 == 0 ? even : odd)++;
       EXPECT_EQ(static_cast<int>(token.slot % 2), s);
     }

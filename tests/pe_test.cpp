@@ -9,10 +9,19 @@
 namespace fasda::pe {
 namespace {
 
-/// The home-side forces a run wrote into the PE's Force Cache, read out
-/// after the run.
+/// Sees every home-side Force Cache write of a run through the FcProbe
+/// hook: checks the slot lies inside the bank and sums the forces.
 struct CaptureSink {
-  explicit CaptureSink(std::size_t slots) : forces(slots) {}
+  explicit CaptureSink(std::size_t slots) : forces(slots) {
+    FcProbe::hook = [this](const geom::IVec3&, std::uint16_t slot,
+                           const geom::Vec3f& force, int) {
+      ASSERT_LT(slot, forces.size());
+      forces[slot] += force;
+    };
+  }
+  ~CaptureSink() { FcProbe::hook = nullptr; }
+  CaptureSink(const CaptureSink&) = delete;
+  CaptureSink& operator=(const CaptureSink&) = delete;
   std::vector<geom::Vec3f> forces;
 };
 
@@ -107,7 +116,6 @@ struct PeHarness {
     scheduler.run_until([&] { return pe.quiescent(); }, budget);
     // A few extra cycles so staged output tokens drain.
     for (int i = 0; i < 4; ++i) scheduler.run_cycle();
-    for (std::size_t i = 0; i < fc.size(); ++i) sink.forces[i] = fc[i].to_vec3f();
   }
 
   md::ForceField ff;
