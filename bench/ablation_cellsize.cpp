@@ -31,11 +31,8 @@ int neighborhood_cells(double c) {
   return width * width * width;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_ablation_cellsize(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const int per_cell = static_cast<int>(cli.get_or("per-cell", 16L));
 
   bench::print_header(
@@ -84,4 +81,11 @@ int main(int argc, char** argv) {
       "only 26 neighbour cells; smaller cells multiply the cells to route\n"
       "between, larger cells drown the filters in out-of-range candidates.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "ablation_cellsize", {"per-cell"}, run_ablation_cellsize);
 }

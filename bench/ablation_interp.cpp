@@ -13,9 +13,10 @@
 #include "fasda/md/energy.hpp"
 #include "fasda/md/functional_engine.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_ablation_interp(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const int per_cell = static_cast<int>(cli.get_or("per-cell", 16L));
 
   bench::print_header("Ablation -- interpolation depth (Eqs. 8-10)");
@@ -55,4 +56,11 @@ int main(int argc, char** argv) {
                 worst / force_scale, brams, bins == 256 ? "   <- default" : "");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "ablation_interp", {"per-cell"}, run_ablation_interp);
 }

@@ -41,11 +41,8 @@ Result run(sync::SyncMode mode, int slowdown, int iters, sim::Cycle barrier) {
   return {sim.microseconds_per_day(), max_start - min_start};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_ablation_sync(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const int iters = static_cast<int>(cli.get_or("iters", 3L));
   const int slowdown = static_cast<int>(cli.get_or("slowdown", 2L));
   const auto barrier = static_cast<sim::Cycle>(cli.get_or("barrier", 2000L));
@@ -74,4 +71,13 @@ int main(int argc, char** argv) {
       "iteration (Fig. 12), while bulk sync forces all starts together and\n"
       "pays the barrier latency every phase.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "ablation_sync",
+      {"barrier", "iters", "slowdown"},
+      run_ablation_sync);
 }

@@ -54,17 +54,14 @@ double measured_cpu_rate(geom::IVec3 cells, int threads, int steps) {
   return model::us_per_day_from_step_seconds(sw.seconds() / steps);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_fig16_scalability(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const int iters = static_cast<int>(cli.get_or("iters", 2L));
-  const bool large = cli.has("large");
-  const bool measure = cli.has("measure");
+  const bool large = cli.has_switch("large");
+  const bool measure = cli.has_switch("measure");
   const bool bulk = cli.get_or("sync", "chained") == std::string("bulk");
   g_workers = static_cast<int>(cli.get_or("workers", 1L));
-  g_timing = cli.has("timing");
+  g_timing = cli.has_switch("timing");
 
   const model::GpuModel gpu;
   const model::CpuModel cpu;
@@ -158,4 +155,13 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "fig16_scalability",
+      {"iters", "large", "measure", "sync", "timing", "workers"},
+      run_fig16_scalability);
 }

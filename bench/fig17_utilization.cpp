@@ -17,9 +17,10 @@
 #include "bench_common.hpp"
 #include "fasda/obs/obs.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_fig17_utilization(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const int iters = static_cast<int>(cli.get_or("iters", 2L));
   const int filters = static_cast<int>(cli.get_or("filters", 6L));
 
@@ -54,4 +55,13 @@ int main(int argc, char** argv) {
       "matching the PEs, MU < 0.05, PR underused (position locality), PR/FR\n"
       "utilization rising with node count in weak scaling.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "fig17_utilization",
+      {"filters", "iters"},
+      run_fig17_utilization);
 }

@@ -46,22 +46,12 @@ std::uint64_t link_counter(const obs::MetricsSnapshot& snap, int src, int dst,
   return snap.counter("net.rel.to." + std::to_string(dst) + "." + field, src);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_fig18_communication(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const int iters = static_cast<int>(cli.get_or("iters", 2L));
   const int cooldown = static_cast<int>(cli.get_or("cooldown", 2L));
   std::optional<net::FaultPlan> faults;
-  if (auto spec = cli.get("faults")) {
-    try {
-      faults = net::FaultPlan::parse(*spec);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-  }
+  if (auto spec = cli.get("faults")) faults = net::FaultPlan::parse(*spec);
 
   bench::print_header("Figure 18 -- Communication bandwidth demand and breakdown");
   if (cooldown != 2) std::printf("[ablation: cooldown = %d cycles]\n", cooldown);
@@ -163,4 +153,13 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "fig18_communication",
+      {"cooldown", "faults", "iters"},
+      run_fig18_communication);
 }

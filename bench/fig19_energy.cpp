@@ -18,11 +18,12 @@
 #include "fasda/md/functional_engine.hpp"
 #include "fasda/md/reference_engine.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_fig19_energy(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   int steps = static_cast<int>(cli.get_or("steps", 1000L));
-  if (cli.has("full")) steps = 100000;
+  if (cli.has_switch("full")) steps = 100000;
   const int sample = static_cast<int>(cli.get_or("sample", std::max(1L, steps / 20L)));
   const int bins = static_cast<int>(cli.get_or("bins", 256L));
   const auto threads = static_cast<std::size_t>(cli.get_or("threads", 2L));
@@ -67,4 +68,13 @@ int main(int argc, char** argv) {
   std::printf("energy is %s\n",
               worst < 1e-3 ? "conserved (PASS)" : "NOT conserved (FAIL)");
   return worst < 1e-3 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "fig19_energy",
+      {"bins", "full", "sample", "steps", "threads"},
+      run_fig19_energy);
 }

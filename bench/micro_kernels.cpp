@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for FASDA's numeric kernels: the
 // section/bin interpolation lookup (Eq. 8-10), fixed-point r² (the filter
-// datapath), the full pair-force evaluation (Fig. 6), and whole-engine
-// timestep throughput for the reference and functional engines.
+// datapath), the full pair-force evaluation (Fig. 6), the double-precision
+// potential-energy pair walk, and whole-engine timestep throughput for the
+// reference and functional engines.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "fasda/interp/interp_table.hpp"
 #include "fasda/md/datapath.hpp"
 #include "fasda/md/dataset.hpp"
+#include "fasda/md/energy.hpp"
 #include "fasda/md/functional_engine.hpp"
 #include "fasda/md/reference_engine.hpp"
 #include "fasda/util/rng.hpp"
@@ -68,6 +70,28 @@ void BM_PairForce(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairForce);
+
+// md::compute_potential_energy on the serve_mix job shape: 3x3x3 cells of 8
+// particles. Arg 0 is sodium (LJ only), Arg 1 alternating Na+/Cl- with the
+// Ewald real-space term, as a served `nacl` job with `ewald` set.
+void BM_PotentialEnergy(benchmark::State& state) {
+  const bool nacl = state.range(0) != 0;
+  const md::ForceField ff =
+      nacl ? md::ForceField::sodium_chloride() : md::ForceField::sodium();
+  md::DatasetParams params;
+  params.particles_per_cell = 8;
+  params.temperature = 300.0;
+  if (nacl) params.elements = md::ElementAssignment::kAlternating;
+  const auto sys = md::generate_dataset({3, 3, 3}, 8.5, ff, params);
+  md::ForceTerms terms;
+  terms.ewald_real = nacl;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(md::compute_potential_energy(sys, ff, 8.5, terms));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sys.size()));
+}
+BENCHMARK(BM_PotentialEnergy)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_ReferenceEngineStep(benchmark::State& state) {
   md::DatasetParams params;

@@ -126,11 +126,8 @@ ClusterResult run_cluster(int link_latency, int iters, int per_cell,
           sim.elision_stats()};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_micro_tick(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const auto cycles = static_cast<sim::Cycle>(cli.get_or("cycles", 100000L));
   const int iters = static_cast<int>(cli.get_or("iters", 2L));
   const int per_cell = static_cast<int>(cli.get_or("per-cell", 16L));
@@ -184,4 +181,13 @@ int main(int argc, char** argv) {
       "link latencies (packets in flight, every component asleep) and idle\n"
       "shards. Dense always-busy workloads pay only the oracle sweep.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "micro_tick",
+      {"cycles", "iters", "per-cell"},
+      run_micro_tick);
 }

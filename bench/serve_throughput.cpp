@@ -33,6 +33,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,10 +55,7 @@ struct RunStats {
   std::uint64_t trace_events = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+int run_serve_throughput(const util::Cli& cli) {
   const int clients = static_cast<int>(cli.get_or("clients", 4L));
   const int jobs = static_cast<int>(cli.get_or("jobs", 64L));
   const int replicas = static_cast<int>(cli.get_or("replicas", 8L));
@@ -68,10 +66,9 @@ int main(int argc, char** argv) {
   const std::string date = cli.get_or("date", "unknown");
   const std::string state_dir = cli.get_or("state-dir", "");
   const std::string fsync_policy = cli.get_or("journal-fsync", "always");
-  const bool obs_mode = cli.has("obs");
+  const bool obs_mode = cli.has_switch("obs");
   if (fsync_policy != "always" && fsync_policy != "never") {
-    std::fprintf(stderr, "bench: --journal-fsync must be always|never\n");
-    return 2;
+    throw std::invalid_argument("--journal-fsync must be always or never");
   }
 
   const auto run_once = [&](bool wall_obs) -> RunStats {
@@ -238,4 +235,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   return off.failed == 0 && on.failed == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::Cli::run(
+      argc, argv, "serve_throughput",
+      {"clients", "date", "jobs", "journal-fsync", "obs", "out",
+       "queue-workers", "replicas", "state-dir", "steps"},
+      run_serve_throughput);
 }

@@ -6,7 +6,9 @@
 #include "bench_common.hpp"
 #include "fasda/model/resource_model.hpp"
 
-int main(int, char**) {
+namespace {
+
+int run_table1_resources(const fasda::util::Cli&) {
   using namespace fasda;
   bench::print_header("Table 1 -- Hardware utilization of all design variants");
 
@@ -39,4 +41,11 @@ int main(int, char**) {
       "paper notes those designs re-balance between LUT, BRAM and URAM,\n"
       "which a single linear model intentionally does not chase.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "table1_resources", {}, run_table1_resources);
 }

@@ -16,9 +16,10 @@
 #include "fasda/md/dataset.hpp"
 #include "fasda/util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_cluster_scaling(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const geom::IVec3 space = util::parse_dims(cli.get_or("space", "444"));
   const int iters = static_cast<int>(cli.get_or("iters", 2L));
 
@@ -72,4 +73,13 @@ int main(int argc, char** argv) {
   std::printf("simulation rate          : %.2f us/day\n",
               eng->metrics().microseconds_per_day);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "cluster_scaling",
+      {"cells", "iters", "pes", "space", "spes"},
+      run_cluster_scaling);
 }

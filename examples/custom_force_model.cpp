@@ -18,9 +18,10 @@
 #include "fasda/md/dataset.hpp"
 #include "fasda/util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_custom_force_model(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const int steps = static_cast<int>(cli.get_or("steps", 400L));
   const std::string out_path = cli.get_or("out", "/tmp/nacl_trajectory.xyz");
 
@@ -64,4 +65,13 @@ int main(int argc, char** argv) {
     std::printf("%6.2f %10.2f %10.2f\n", na_cl.r(b), na_cl.g[b], na_na.g[b]);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "custom_force_model",
+      {"out", "steps"},
+      run_custom_force_model);
 }

@@ -27,9 +27,10 @@
 #include "fasda/md/units.hpp"
 #include "fasda/util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_drug_screening(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const int num_candidates = static_cast<int>(cli.get_or("candidates", 4L));
   const int steps = static_cast<int>(cli.get_or("steps", 100L));
 
@@ -136,4 +137,13 @@ int main(int argc, char** argv) {
   std::printf("(the paper's best GPU manages ~2 us/day: %.1f days, %.1fx longer)\n",
               us_per_candidate / 2.0, rate / 2.0);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "drug_screening",
+      {"candidates", "steps"},
+      run_drug_screening);
 }

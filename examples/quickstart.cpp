@@ -14,9 +14,10 @@
 #include "fasda/md/dataset.hpp"
 #include "fasda/util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_quickstart(const fasda::util::Cli& cli) {
   using namespace fasda;
-  const util::Cli cli(argc, argv);
   const int iters = static_cast<int>(cli.get_or("iters", 5L));
 
   // 1. Build the force field and the dataset (3x3x3 cells = 1728 atoms).
@@ -56,4 +57,11 @@ int main(int argc, char** argv) {
                 1000.0 * m.wall_seconds / iters);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return fasda::util::Cli::run(
+      argc, argv, "quickstart", {"engine", "iters"}, run_quickstart);
 }

@@ -40,6 +40,23 @@ double wrap_coordinate(double v, double extent) {
   return v < 0 ? v + extent : v;
 }
 
+/// The smallest a >= 0 with fl(a / box) >= q. Quotients are monotone in
+/// a, so walk up from q*box until the quotient reaches q, then down while
+/// the next smaller double still does; both walks take a step or two.
+double quotient_threshold(double box, double q) {
+  double a = q * box;
+  while (a / box < q) a = std::nextafter(a, HUGE_VAL);
+  while (a > 0.0 && std::nextafter(a, 0.0) / box >= q) {
+    a = std::nextafter(a, 0.0);
+  }
+  return a;
+}
+
+Vec3d quotient_thresholds(const Vec3d& box, double q) {
+  return {quotient_threshold(box.x, q), quotient_threshold(box.y, q),
+          quotient_threshold(box.z, q)};
+}
+
 }  // namespace
 
 std::span<const IVec3> half_shell_offsets() {
@@ -49,7 +66,11 @@ std::span<const IVec3> half_shell_offsets() {
 std::span<const IVec3> full_shell_offsets() { return kFullShell; }
 
 CellGrid::CellGrid(IVec3 dims, double cell_size)
-    : dims_(dims), cell_size_(cell_size) {
+    : dims_(dims),
+      cell_size_(cell_size),
+      box_{dims.x * cell_size, dims.y * cell_size, dims.z * cell_size},
+      t05_(quotient_thresholds(box_, 0.5)),
+      t15_(quotient_thresholds(box_, 1.5)) {
   if (dims.x < 3 || dims.y < 3 || dims.z < 3) {
     throw std::invalid_argument(
         "CellGrid requires at least 3 cells per dimension so that periodic "
@@ -66,9 +87,8 @@ IVec3 CellGrid::wrap(IVec3 c) const {
 }
 
 Vec3d CellGrid::wrap_position(Vec3d p) const {
-  const Vec3d b = box();
-  return {wrap_coordinate(p.x, b.x), wrap_coordinate(p.y, b.y),
-          wrap_coordinate(p.z, b.z)};
+  return {wrap_coordinate(p.x, box_.x), wrap_coordinate(p.y, box_.y),
+          wrap_coordinate(p.z, box_.z)};
 }
 
 IVec3 CellGrid::cell_of(const Vec3d& p) const {

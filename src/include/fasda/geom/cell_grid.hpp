@@ -26,10 +26,11 @@ std::span<const IVec3> half_shell_offsets();
 /// All 26 neighbour offsets (full shell), forward ones first.
 std::span<const IVec3> full_shell_offsets();
 
-/// std::round(q), exactly, without the libm call for |q| < 1.5 — the only
-/// range min_image() sees for particles within one box of each other.
-/// Keeps the sign of zero; NaN and larger magnitudes fall back to
-/// std::round.
+/// std::round(q), exactly, without the libm call for |q| < 1.5. Keeps the
+/// sign of zero; NaN and larger magnitudes fall back to std::round.
+/// CellGrid::min_image() divides and calls it only for |d| >= t15 or NaN;
+/// below t15 the same value follows from comparing |d| with t05 (the
+/// exactness argument is in DESIGN.md §18).
 inline double round_half_away(double q) {
   const double a = std::fabs(q);
   if (a < 0.5) return std::copysign(0.0, q);
@@ -52,9 +53,13 @@ class CellGrid {
   const IVec3& dims() const { return dims_; }
   double cell_size() const { return cell_size_; }
   int num_cells() const { return dims_.product(); }
-  Vec3d box() const {
-    return {dims_.x * cell_size_, dims_.y * cell_size_, dims_.z * cell_size_};
-  }
+  Vec3d box() const { return box_; }
+
+  /// Per axis, the smallest |d| that min_image() folds by one box (t05)
+  /// and the smallest it leaves to the division formula (t15); see
+  /// round_half_away().
+  Vec3d t05() const { return t05_; }
+  Vec3d t15() const { return t15_; }
 
   /// Eq. 7 cell id from integer coordinates (must be in range).
   CellId cid(const IVec3& c) const {
@@ -85,14 +90,20 @@ class CellGrid {
             min_image_component(to.z - from.z, dims_.z)};
   }
 
-  /// Minimum-image displacement vector to - from in the periodic box.
+  /// Minimum-image displacement vector to - from in the periodic box:
+  /// per axis d - L*round_half_away(d/L), bit for bit, without the
+  /// division while |d| < t15.
   Vec3d min_image(const Vec3d& from, const Vec3d& to) const {
-    const Vec3d b = box();
-    Vec3d d = to - from;
-    d.x -= b.x * round_half_away(d.x / b.x);
-    d.y -= b.y * round_half_away(d.y / b.y);
-    d.z -= b.z * round_half_away(d.z / b.z);
-    return d;
+    const Vec3d d = to - from;
+    return {min_image_axis(d.x, box_.x, t05_.x, t15_.x),
+            min_image_axis(d.y, box_.y, t05_.y, t15_.y),
+            min_image_axis(d.z, box_.z, t05_.z, t15_.z)};
+  }
+
+  /// One axis of min_image() for |d| < t15 (the caller checks): folds d
+  /// by at most one box.
+  static double min_image_near(double d, double box, double t05) {
+    return d - box * std::copysign(std::fabs(d) >= t05 ? 1.0 : 0.0, d);
   }
 
   /// True iff `to` is one of `from`'s 13 forward half-shell neighbours
@@ -110,8 +121,17 @@ class CellGrid {
     return d > dim / 2 ? d - dim : d;
   }
 
+  static double min_image_axis(double d, double box, double t05,
+                               double t15) {
+    if (std::fabs(d) < t15) return min_image_near(d, box, t05);
+    return d - box * round_half_away(d / box);  // |d| >= t15, or NaN
+  }
+
   IVec3 dims_;
   double cell_size_;
+  Vec3d box_;
+  Vec3d t05_;
+  Vec3d t15_;
 };
 
 }  // namespace fasda::geom

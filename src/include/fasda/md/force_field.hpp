@@ -114,7 +114,20 @@ class ForceField {
   std::vector<float> ewald_energy_coeff_table(double cutoff) const;
 
  private:
+  /// Mixed per-pair factors of the double-precision kernels, filled by
+  /// add_element with the expressions the kernels would otherwise evaluate
+  /// per pair, so every pair energy and force keeps its bits.
+  struct Mixed {
+    double eps;        ///< epsilon(a, b)
+    double four_eps;   ///< 4.0 * eps
+    double sig2;       ///< sigma(a, b)²
+    double coulomb;    ///< kCoulomb * q_a * q_b
+  };
+  /// Bounds-checked like element(): throws std::out_of_range.
+  const Mixed& mixed(ElementId a, ElementId b) const;
+
   std::vector<Element> elements_;
+  std::vector<Mixed> mixed_;  ///< [a * num_elements() + b]
 };
 
 }  // namespace fasda::md

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "fasda/md/pair_walk.hpp"
 #include "fasda/md/system_state.hpp"
 #include "fasda/util/thread_pool.hpp"
 
@@ -66,8 +67,8 @@ class ReferenceEngine {
   std::size_t list_rebuilds() const { return list_rebuilds_; }
 
  private:
-  void rebuild_cells();
   void compute_forces();
+  void reduce_forces();
   void rebuild_verlet_list();
   bool verlet_list_valid() const;
   void compute_forces_from_list();
@@ -80,7 +81,7 @@ class ReferenceEngine {
   ForceTerms terms_;
   util::ThreadPool pool_;
 
-  std::vector<std::vector<std::uint32_t>> cell_particles_;
+  CellBins bins_;
   std::vector<geom::Vec3d> forces_;
   std::vector<std::vector<geom::Vec3d>> worker_forces_;
   std::vector<std::size_t> worker_pair_counts_;

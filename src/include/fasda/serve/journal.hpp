@@ -40,8 +40,10 @@ enum class JournalRecord : std::uint8_t {
                    ///< recovery re-runs the job from this record alone.
   kStarted,        ///< {"job"} — a queue worker picked the job up.
   kCheckpoint,     ///< {"job","replica","step"} — the supervisor banked a
-                   ///< checkpoint; the step-stamped state file is already
-                   ///< durable (supervisor saves before observers fire).
+                   ///< checkpoint; the step-stamped state file was written
+                   ///< (tmp+rename, no fsync) before this record. A power
+                   ///< loss can keep a fsynced record whose file is gone
+                   ///< or torn; recovery then re-runs the job from step 0.
   kCompleted,      ///< {"job","tenant","idempotency","result":{...}} —
                    ///< written BEFORE the kResult push. Self-sufficient
                    ///< so compaction can keep lone kCompleted records.

@@ -1,76 +1,19 @@
 #include "fasda/md/energy.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include "fasda/md/pair_walk.hpp"
 
 namespace fasda::md {
 
 namespace {
 
-/// Calls visit(i, j, r2) for every unordered pair within the cutoff. Works
-/// for any cell-size/cutoff ratio: the neighbour reach is ceil(cutoff /
-/// cell_size) cells; when the periodic box is too small for that reach to
-/// be unambiguous, it falls back to the O(N²) all-pairs loop.
+/// Calls visit(i, j, dr, r2) for every unordered pair within the cutoff.
+/// Works for any cell-size/cutoff ratio: the neighbour reach is
+/// ceil(cutoff / cell_size) cells; when the periodic box is too small for
+/// that reach to be unambiguous, it walks all pairs.
 template <class Visitor>
 void for_each_pair(const SystemState& state, double cutoff, Visitor&& visit) {
-  const geom::CellGrid grid = state.grid();
-  const double cutoff2 = cutoff * cutoff;
-
-  const int reach =
-      static_cast<int>(std::ceil(cutoff / state.cell_size - 1e-12));
-  const geom::IVec3 dims = grid.dims();
-  if (2 * reach + 1 > std::min({dims.x, dims.y, dims.z})) {
-    for (std::uint32_t i = 0; i < state.size(); ++i) {
-      for (std::uint32_t j = i + 1; j < state.size(); ++j) {
-        const double r2 =
-            grid.min_image(state.positions[j], state.positions[i]).norm2();
-        if (r2 < cutoff2) visit(i, j, r2);
-      }
-    }
-    return;
-  }
-
-  std::vector<std::vector<std::uint32_t>> cells(grid.num_cells());
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    cells[grid.cid(grid.cell_of(state.positions[i]))].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-
-  // Forward half-space offsets up to `reach` (lexicographic-positive), the
-  // generalization of the 13-cell half shell.
-  std::vector<geom::IVec3> offsets;
-  for (int dx = -reach; dx <= reach; ++dx) {
-    for (int dy = -reach; dy <= reach; ++dy) {
-      for (int dz = -reach; dz <= reach; ++dz) {
-        const geom::IVec3 d{dx, dy, dz};
-        if (d == geom::IVec3{0, 0, 0}) continue;
-        if (geom::is_forward_offset(d)) offsets.push_back(d);
-      }
-    }
-  }
-
-  for (int cell = 0; cell < grid.num_cells(); ++cell) {
-    const auto& home = cells[cell];
-    const geom::IVec3 hc = grid.coords(cell);
-    for (std::size_t a = 0; a < home.size(); ++a) {
-      for (std::size_t b = a + 1; b < home.size(); ++b) {
-        const double r2 = grid.min_image(state.positions[home[b]],
-                                         state.positions[home[a]])
-                              .norm2();
-        if (r2 < cutoff2) visit(home[a], home[b], r2);
-      }
-    }
-    for (const geom::IVec3& d : offsets) {
-      const auto& nbr = cells[grid.cid(grid.wrap(hc + d))];
-      for (const std::uint32_t i : home) {
-        for (const std::uint32_t j : nbr) {
-          const double r2 =
-              grid.min_image(state.positions[j], state.positions[i]).norm2();
-          if (r2 < cutoff2) visit(i, j, r2);
-        }
-      }
-    }
-  }
+  CellBins bins;
+  for_each_pair_within(state.grid(), state.positions, cutoff, bins, visit);
 }
 
 }  // namespace
@@ -78,9 +21,12 @@ void for_each_pair(const SystemState& state, double cutoff, Visitor&& visit) {
 double compute_potential_energy(const SystemState& state, const ForceField& ff,
                                 double cutoff, const ForceTerms& terms) {
   double pe = 0.0;
-  for_each_pair(state, cutoff, [&](std::uint32_t i, std::uint32_t j, double r2) {
-    pe += ff.pair_energy(r2, state.elements[i], state.elements[j], terms);
-  });
+  for_each_pair(state, cutoff,
+                [&](std::uint32_t i, std::uint32_t j, const geom::Vec3d&,
+                    double r2) {
+                  pe += ff.pair_energy(r2, state.elements[i],
+                                       state.elements[j], terms);
+                });
   return pe;
 }
 
@@ -88,10 +34,8 @@ std::vector<geom::Vec3d> compute_forces(const SystemState& state,
                                         const ForceField& ff, double cutoff,
                                         const ForceTerms& terms) {
   std::vector<geom::Vec3d> forces(state.size());
-  const geom::CellGrid grid = state.grid();
-  for_each_pair(state, cutoff, [&](std::uint32_t i, std::uint32_t j, double) {
-    const geom::Vec3d dr =
-        grid.min_image(state.positions[j], state.positions[i]);
+  for_each_pair(state, cutoff, [&](std::uint32_t i, std::uint32_t j,
+                                   const geom::Vec3d& dr, double) {
     const geom::Vec3d fij =
         ff.pair_force(dr, state.elements[i], state.elements[j], terms);
     forces[i] += fij;
@@ -102,7 +46,10 @@ std::vector<geom::Vec3d> compute_forces(const SystemState& state,
 
 std::size_t count_pairs_within_cutoff(const SystemState& state, double cutoff) {
   std::size_t n = 0;
-  for_each_pair(state, cutoff, [&](std::uint32_t, std::uint32_t, double) { ++n; });
+  for_each_pair(state, cutoff,
+                [&](std::uint32_t, std::uint32_t, const geom::Vec3d&, double) {
+                  ++n;
+                });
   return n;
 }
 

@@ -15,7 +15,28 @@ ElementId ForceField::add_element(std::string name, double epsilon_kcal_per_mol,
   elements_.push_back(Element{std::move(name),
                               units::from_kcal_per_mol(epsilon_kcal_per_mol),
                               sigma_angstrom, mass_amu, charge_e});
-  return static_cast<ElementId>(elements_.size() - 1);
+  const std::size_t n = elements_.size();
+  mixed_.resize(n * n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      const auto ea = static_cast<ElementId>(a);
+      const auto eb = static_cast<ElementId>(b);
+      const double eps = epsilon(ea, eb);
+      const double sig = sigma(ea, eb);
+      mixed_[a * n + b] = Mixed{
+          eps, 4.0 * eps, sig * sig,
+          kCoulomb * elements_[a].charge * elements_[b].charge};
+    }
+  }
+  return static_cast<ElementId>(n - 1);
+}
+
+const ForceField::Mixed& ForceField::mixed(ElementId a, ElementId b) const {
+  const std::size_t n = elements_.size();
+  if (a >= n || b >= n) {
+    throw std::out_of_range("ForceField: element id out of range");
+  }
+  return mixed_[a * n + b];
 }
 
 ForceField ForceField::sodium() {
@@ -41,30 +62,27 @@ double ForceField::sigma(ElementId a, ElementId b) const {
 }
 
 double ForceField::lj_energy(double r2, ElementId a, ElementId b) const {
-  const double eps = epsilon(a, b);
-  const double sig = sigma(a, b);
-  const double s2 = sig * sig / r2;
+  const Mixed& m = mixed(a, b);
+  const double s2 = m.sig2 / r2;
   const double s6 = s2 * s2 * s2;
-  return 4.0 * eps * (s6 * s6 - s6);
+  return m.four_eps * (s6 * s6 - s6);
 }
 
 geom::Vec3d ForceField::lj_force(const geom::Vec3d& dr, ElementId a,
                                  ElementId b) const {
-  const double eps = epsilon(a, b);
-  const double sig = sigma(a, b);
+  const Mixed& m = mixed(a, b);
   const double r2 = dr.norm2();
-  const double s2 = sig * sig / r2;
+  const double s2 = m.sig2 / r2;
   const double s6 = s2 * s2 * s2;
   // ε/σ²·[48(σ/r)^14 − 24(σ/r)^8] = (ε/r²)·[48(σ/r)^12 − 24(σ/r)^6]
-  const double magnitude_over_r = eps / r2 * (48.0 * s6 * s6 - 24.0 * s6);
+  const double magnitude_over_r = m.eps / r2 * (48.0 * s6 * s6 - 24.0 * s6);
   return dr * magnitude_over_r;
 }
 
 double ForceField::ewald_real_energy(double r2, ElementId a, ElementId b,
                                      double beta) const {
   const double r = std::sqrt(r2);
-  return kCoulomb * element(a).charge * element(b).charge *
-         std::erfc(beta * r) / r;
+  return mixed(a, b).coulomb * std::erfc(beta * r) / r;
 }
 
 geom::Vec3d ForceField::ewald_real_force(const geom::Vec3d& dr, ElementId a,
@@ -74,7 +92,7 @@ geom::Vec3d ForceField::ewald_real_force(const geom::Vec3d& dr, ElementId a,
   const double br = beta * r;
   constexpr double kTwoOverSqrtPi = 1.1283791670955126;
   const double magnitude_over_r =
-      kCoulomb * element(a).charge * element(b).charge *
+      mixed(a, b).coulomb *
       (std::erfc(br) + kTwoOverSqrtPi * br * std::exp(-br * br)) / (r2 * r);
   return dr * magnitude_over_r;
 }

@@ -441,7 +441,8 @@ namespace {
 /// Rebases a resumed replica's observer stream onto absolute steps and
 /// fires the journal's `checkpointed` hook once per banked block. The
 /// supervisor saves the checkpoint file before on_sample fires, so by the
-/// time `checkpointed` runs the state for that step is already durable.
+/// time `checkpointed` runs the state for that step is on disk (renamed
+/// into place, not fsynced).
 class ResumeShimObserver final : public engine::StepObserver {
  public:
   ResumeShimObserver(engine::StepObserver* inner, long long base, int replica,

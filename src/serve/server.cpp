@@ -606,10 +606,12 @@ void Server::run_job(std::shared_ptr<Job> job) {
 
   if (journal_enabled() && job->req.supervise) {
     // Checkpoint hand-off: the supervisor saves each banked state to a
-    // step-stamped file (atomic tmp+rename) and only then fires
-    // `checkpointed`, so the journal record always names an
-    // already-durable file. The superseded file is deleted only after the
-    // new record is on disk.
+    // step-stamped file (atomic tmp+rename, not fsynced) and only then
+    // fires `checkpointed`, so the journal record names a file that a
+    // process crash cannot lose. A power loss can: even under
+    // --journal-fsync always the record may outlive its file, and
+    // recovery then re-runs the job from step 0. The superseded file is
+    // deleted only after the new record is appended.
     use_hooks = true;
     hooks.checkpoint_path = [this, job](int replica, long long step) {
       return checkpoint_file(job->id, replica, step);
@@ -1057,8 +1059,9 @@ void Server::recover_and_admit() {
             live_checkpoint_files.insert(path);
           } catch (const std::exception&) {
             // Missing or torn file: the journal record outlived its state
-            // (possible under --journal-fsync never). Re-run from scratch
-            // — slower, still bitwise identical.
+            // (a power loss: the file is not fsynced, under any
+            // --journal-fsync). Re-run from scratch — slower, still
+            // bitwise identical.
           }
         }
       }

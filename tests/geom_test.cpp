@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <set>
+#include <vector>
 
 #include "fasda/geom/cell_grid.hpp"
 
@@ -244,6 +246,64 @@ TEST(MinImageKernel, MinImageMatchesStdRoundFormBitwise) {
       ASSERT_EQ(bits(got.x), bits(want.x));
       ASSERT_EQ(bits(got.y), bits(want.y));
       ASSERT_EQ(bits(got.z), bits(want.z));
+    }
+  }
+}
+
+// min_image() folds |d| < t15 without dividing; t05 and t15 are the
+// smallest magnitudes whose quotient by the box rounds to >= 0.5 and
+// >= 1.5. Pin both definitions, then the result bit for bit against the
+// division form on the thresholds, their neighbours, the exact half and
+// one-and-a-half boxes, zeros, non-finite values, far images and a seeded
+// sweep, for every axis of grids with exact and inexact box lengths.
+TEST(MinImageKernel, DivisionFreeRangeMatchesDivisionFormBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto axes = [](const Vec3d& v) {
+    return std::array<double, 3>{v.x, v.y, v.z};
+  };
+  for (const auto& [dims, cell] :
+       {std::pair{IVec3{3, 3, 3}, 8.5}, std::pair{IVec3{6, 3, 3}, 8.5},
+        std::pair{IVec3{4, 5, 7}, 1.0}, std::pair{IVec3{3, 3, 3}, 0.1},
+        std::pair{IVec3{3, 4, 5},
+                  std::numeric_limits<double>::denorm_min()}}) {
+    const CellGrid grid(dims, cell);
+    const auto box = axes(grid.box());
+    const auto t05 = axes(grid.t05());
+    const auto t15 = axes(grid.t15());
+    for (int k = 0; k < 3; ++k) {
+      const double L = box[k];
+      for (const auto& [t, q] : {std::pair{t05[k], 0.5}, {t15[k], 1.5}}) {
+        EXPECT_GE(t / L, q) << L;
+        EXPECT_LT(std::nextafter(t, 0.0) / L, q) << L;
+      }
+      std::vector<double> values = {0.0, 0.5 * L, 1.5 * L, L, 2.0 * L,
+                                    3.0 * L, 1e6 * L, 0x1p53 * L, inf, nan};
+      for (const double t : {t05[k], t15[k]}) {
+        double lo = t, hi = t;
+        for (int step = 0; step < 3; ++step) {
+          values.push_back(lo);
+          values.push_back(hi);
+          lo = std::nextafter(lo, 0.0);
+          hi = std::nextafter(hi, inf);
+        }
+      }
+      std::mt19937_64 rng(17 + static_cast<unsigned>(k));
+      std::uniform_real_distribution<double> u(0.0, 3.0);
+      for (int i = 0; i < 20000; ++i) values.push_back(u(rng) * L);
+      for (const double a : values) {
+        for (const double d : {a, -a}) {
+          Vec3d to{0.0, 0.0, 0.0};
+          (k == 0 ? to.x : k == 1 ? to.y : to.z) = d;
+          const double got = axes(grid.min_image({0.0, 0.0, 0.0}, to))[k];
+          const double want = d - L * std::round(d / L);
+          if (std::isnan(want)) {
+            ASSERT_TRUE(std::isnan(got)) << d << " on box " << L;
+          } else {
+            ASSERT_EQ(bits(got), bits(want)) << d << " on box " << L;
+          }
+        }
+      }
     }
   }
 }

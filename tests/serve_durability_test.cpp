@@ -9,7 +9,8 @@
 //   2. Recovery semantics in-process: completed results survive restarts,
 //      lost queued jobs are re-admitted in original order and re-run
 //      bitwise identically, supervised jobs resume from their banked
-//      checkpoint, rejected jobs stay dead, the kRecovering window answers
+//      checkpoint (or re-run from scratch when its file is gone or torn),
+//      rejected jobs stay dead, the kRecovering window answers
 //      typed, clean shutdown skips replay.
 //   3. Exactly-once plumbing: idempotency keys dedup within and across
 //      incarnations; queue readmit bypasses admission control but
@@ -427,46 +428,53 @@ TEST(ServeDurability, RetiredEngineKeysReplayInProcess) {
   server.drain_and_stop();
 }
 
+namespace {
+
+// Fabricates the state directory a crashed incarnation would have left
+// for `full` (job 1): a kAdmitted record, checkpoint files + kCheckpoint
+// records banked through step full.steps - 2, no kCompleted -- the daemon
+// "died" mid-run. Returns the path of the last banked checkpoint file.
+std::string fabricate_crash_after_checkpoint(const std::string& dir,
+                                             const JobRequest& full) {
+  Journal journal;
+  const RecoveryReport fresh = Journal::recover(journal_file(dir));
+  journal.open_appending(journal_file(dir), fresh, JournalFsync::kAlways);
+  journal.append(JournalRecord::kAdmitted,
+                 "{\"job\":1,\"request\":" + full.to_json() + "}");
+  JobRequest partial = full;
+  partial.steps = full.steps - 2;  // the prefix of the same trajectory
+  long long prev = 0;
+  ExecutionHooks hooks;
+  hooks.checkpoint_path = [&dir](int replica, long long step) {
+    return dir + "/job-1-r" + std::to_string(replica) + "-s" +
+           std::to_string(step) + ".ckpt";
+  };
+  hooks.checkpointed = [&](int replica, long long step) {
+    journal.append(JournalRecord::kCheckpoint,
+                   "{\"job\":1,\"replica\":" + std::to_string(replica) +
+                       ",\"step\":" + std::to_string(step) + "}");
+    if (prev > 0 && prev != step) {
+      ::unlink(hooks.checkpoint_path(replica, prev).c_str());
+    }
+    prev = step;
+  };
+  const JobResult prefix_result = execute_job(1, partial, nullptr, &hooks);
+  EXPECT_EQ(prefix_result.outcome, JobOutcome::kOk);
+  journal.close();
+  return hooks.checkpoint_path(0, prev);
+}
+
+}  // namespace
+
 // The tentpole resume path: a supervised job that crashed after banking a
 // checkpoint resumes from that checkpoint (not from step 0) and still
 // produces the bitwise result of an uninterrupted run.
 TEST(ServeDurability, SupervisedJobResumesFromCheckpointBitwise) {
   TempDir dir;
   const JobRequest full = supervised_job(6);
-
-  // Fabricate the crashed incarnation's state directory exactly the way
-  // the server would have left it: a kAdmitted record for the full job,
-  // checkpoint files + kCheckpoint records banked through step 4, no
-  // kCompleted — the daemon "died" mid-run.
-  {
-    Journal journal;
-    const RecoveryReport fresh = Journal::recover(journal_file(dir.path));
-    journal.open_appending(journal_file(dir.path), fresh,
-                           JournalFsync::kAlways);
-    journal.append(JournalRecord::kAdmitted,
-                   "{\"job\":1,\"request\":" + full.to_json() + "}");
-    JobRequest partial = full;
-    partial.steps = 4;  // the prefix of the same trajectory
-    long long prev = 0;
-    ExecutionHooks hooks;
-    hooks.checkpoint_path = [&dir](int replica, long long step) {
-      return dir.path + "/job-1-r" + std::to_string(replica) + "-s" +
-             std::to_string(step) + ".ckpt";
-    };
-    hooks.checkpointed = [&](int replica, long long step) {
-      journal.append(JournalRecord::kCheckpoint,
-                     "{\"job\":1,\"replica\":" + std::to_string(replica) +
-                         ",\"step\":" + std::to_string(step) + "}");
-      if (prev > 0 && prev != step) {
-        ::unlink(hooks.checkpoint_path(replica, prev).c_str());
-      }
-      prev = step;
-    };
-    const JobResult prefix_result = execute_job(1, partial, nullptr, &hooks);
-    ASSERT_EQ(prefix_result.outcome, JobOutcome::kOk);
-    journal.close();
-    ASSERT_TRUE(std::filesystem::exists(dir.path + "/job-1-r0-s4.ckpt"));
-  }
+  const std::string ckpt = fabricate_crash_after_checkpoint(dir.path, full);
+  ASSERT_EQ(ckpt, dir.path + "/job-1-r0-s4.ckpt");
+  ASSERT_TRUE(std::filesystem::exists(ckpt));
 
   Server server(durable_config(dir.path));
   server.start();
@@ -479,7 +487,39 @@ TEST(ServeDurability, SupervisedJobResumesFromCheckpointBitwise) {
   EXPECT_EQ(result.replicas.at(0).steps, 6);
   server.drain_and_stop();
   // Completion cleans up the job's checkpoint files.
-  EXPECT_FALSE(std::filesystem::exists(dir.path + "/job-1-r0-s4.ckpt"));
+  EXPECT_FALSE(std::filesystem::exists(ckpt));
+}
+
+// Checkpoint files are renamed into place but not fsynced, so a power loss
+// can keep a fsynced kCheckpoint record whose file is gone or torn.
+// Recovery must not resume from it: the job re-runs from step 0 and still
+// matches an uninterrupted run bit for bit.
+TEST(ServeDurability, MissingOrTornCheckpointRerunsFromScratch) {
+  const JobRequest full = supervised_job(6);
+  const std::string want = canon(execute_job(0, full));
+  for (const bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "torn checkpoint" : "missing checkpoint");
+    TempDir dir;
+    const std::string ckpt = fabricate_crash_after_checkpoint(dir.path, full);
+    ASSERT_TRUE(std::filesystem::exists(ckpt));
+    if (torn) {
+      std::filesystem::resize_file(ckpt,
+                                   std::filesystem::file_size(ckpt) / 2);
+    } else {
+      std::filesystem::remove(ckpt);
+    }
+
+    Server server(durable_config(dir.path));
+    server.start();
+    wait_not_recovering(server);
+    EXPECT_EQ(server.jobs_recovered(), 1u);
+    EXPECT_EQ(server.jobs_resumed(), 0u);
+    Client client("127.0.0.1", server.port());
+    const JobResult result = poll_done(client, 1);
+    EXPECT_EQ(canon(result), want);
+    EXPECT_EQ(result.replicas.at(0).steps, 6);
+    server.drain_and_stop();
+  }
 }
 
 // During startup replay, kSubmit and kQuery answer a typed kRecovering
