@@ -31,6 +31,7 @@ constexpr std::array<IVec3, 26> make_full_shell() {
 const std::array<IVec3, 26> kFullShell = make_full_shell();
 
 int wrap_component(int v, int dim) {
+  if (v >= 0 && v < dim) return v;  // in range: skip the division
   v %= dim;
   return v < 0 ? v + dim : v;
 }
